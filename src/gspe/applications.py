@@ -10,18 +10,16 @@ general-unitary pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimators, hadamard
-from .estimators import (EstimateReport, EstimationConfig, EvolutionBudget,
-                         PreconditionError, mom_schedule)
-from .fourier import build_fourier_approx
+from .estimators import (EstimateReport, EstimationConfig, PreconditionError,
+                         mom_schedule)
 from .pauli import PauliString, multiply_strings
 from .seeding import stage_rng
-from .spectral import (SpectralData, as_state, diagonalize, mixed_with_noise,
-                       normalized)
+from .spectral import SpectralData, diagonalize, mixed_with_noise, normalized
 
 KERNEL_TOL = 1e-8
 
@@ -111,8 +109,7 @@ def qlss_target_state(inst: LinearSystemInstance) -> np.ndarray:
 
 def assemble_observable(inst: LinearSystemInstance, m_operator) -> np.ndarray:
     """M~ = |0><0| (x) |+><+| (x) M on the enlarged register."""
-    m_mat = (m_operator.matrix() if hasattr(m_operator, "matrix")
-             else np.asarray(m_operator, dtype=complex))
+    m_mat = hadamard.as_matrix(m_operator)
     if m_mat.shape != (inst.dim, inst.dim):
         raise PreconditionError(f"observable shape {m_mat.shape} does not match "
                                 f"system dimension {inst.dim}")
@@ -204,43 +201,26 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
             f"initial state overlap {kernel_mass:.3f} below floor {overlap_floor}")
     if alpha is None:
         alpha = max(1.0, float(np.linalg.norm(m_tilde, 2)))
-    block = hadamard.embed_block(m_tilde, alpha)
+    hadamard.embed_block(m_tilde, alpha)  # M~ must be Hermitian, ||M~|| <= alpha
     cfg = EstimationConfig(epsilon=epsilon, eta=eta, nu=nu, seed=seed,
                            gamma=gamma, n_g=n_g, k=k)
-    x_good = spectral.tau * gamma / 2.0
-    eps_local = epsilon / 4.0
-    approx = build_fourier_approx(spectral.tau * gamma / 5.0,
-                                  eta * eps_local / 8.0)
-    budget = EvolutionBudget()
-    e_plain = estimators.expectation_table_1d(spectral, phi0, approx.d)
-    n_g1, k1 = mom_schedule(2.0 * approx.total_weight ** 2, eta, eps_local,
-                            nu / 2.0, n_g, k)
-    p0_bar = estimators._mom_1d(approx, e_plain, x_good, n_g1, k1,
-                                stage_rng(seed, "overlap"), budget,
-                                spectral.tau).real
-    if p0_bar <= 0.0:
-        raise estimators.EstimationError(
-            f"overlap estimate {p0_bar} is not positive")
-    e_table = estimators.expectation_table_2d(spectral, phi0, m_tilde, approx.d)
-    nsq = estimators.block_norm_table(spectral, phi0, m_tilde, approx.d)
-    n_g2, k2 = mom_schedule(2.0 * alpha ** 2 * approx.total_weight ** 4, eta,
-                            eps_local, nu / 2.0, n_g, k)
-    num = estimators._mom_2d(approx, e_table, x_good, n_g2, k2,
-                             stage_rng(seed, "weighted"), budget,
-                             spectral.tau, nsq_table=nsq, alpha=alpha)
-    value = num / p0_bar
+    front = estimators.estimate_denominator(spectral, phi0, cfg, nu=nu / 2.0,
+                                            x_good=spectral.tau * gamma / 2.0)
+    d = front.approx.d
+    report = front.ratio(
+        cfg, estimators.expectation_table_2d(spectral, phi0, m_tilde, d),
+        2.0 * alpha ** 2 * front.approx.total_weight ** 4, spectral.tau,
+        nsq_table=estimators.block_norm_table(spectral, phi0, m_tilde, d),
+        alpha=alpha)
     x = inst.solution_state()
-    m_mat = (m_operator.matrix() if hasattr(m_operator, "matrix")
-             else np.asarray(m_operator, dtype=complex))
-    exact = complex(x.conj() @ m_mat @ x)
-    return EstimateReport(
-        value=value, shots_used=n_g1 * k1 + n_g2 * k2, budget=budget,
-        config=cfg,
-        intermediate={"x_good": x_good, "p0_bar": p0_bar, "p0o0_bar": num,
-                      "gamma": gamma, "alpha": alpha, "d_prop": approx.d,
-                      "tau": spectral.tau, "exact": exact,
-                      "kernel_mass": kernel_mass,
-                      "error": abs(value - exact)})
+    exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
+    inter = {key: report.intermediate[key]
+             for key in ("x_good", "p0_bar", "p0o0_bar", "gamma", "d_prop")}
+    inter.update({"alpha": alpha, "tau": spectral.tau, "exact": exact,
+                  "kernel_mass": kernel_mass,
+                  "error": abs(report.value - exact)})
+    report.intermediate = inter
+    return report
 
 
 # --- Majorana / Jordan-Wigner ---------------------------------------------------
@@ -299,51 +279,31 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
     products; identity products (p = q diagonal terms) are exact and cost no
     shots.  Each estimated product gets nu/(3 * count) of the failure budget.
     """
-    phi0 = as_state(phi0, dim=spectral.dim)
     n_modes = int(round(math.log2(spectral.dim)))
-    gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
-    eps_gse = gamma / 8.0
-    gse = estimators.estimate_gse(
-        spectral, phi0, replace(cfg, epsilon=eps_gse, gamma=gamma),
-        nu=cfg.nu / 3.0, rng=stage_rng(cfg.seed, "gse"))
-    x_good = estimators.good_point(gse.intermediate["x_star"], spectral.tau,
-                                   gamma, epsilon=eps_gse)
-    eps_local = cfg.epsilon / 4.0
-    approx = build_fourier_approx(spectral.tau * gamma / 5.0,
-                                  cfg.eta * eps_local / 8.0)
-    budget = gse.budget
-    e_plain = estimators.expectation_table_1d(spectral, phi0, approx.d)
-    n_g, k1 = mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta, eps_local,
-                           cfg.nu / 3.0, cfg.n_g, cfg.k)
-    p0_bar = estimators._mom_1d(approx, e_plain, x_good, n_g, k1,
-                                stage_rng(cfg.seed, "overlap"), budget,
-                                spectral.tau).real
-    if p0_bar <= 0.0:
-        raise estimators.EstimationError(
-            f"overlap estimate {p0_bar} is not positive")
-    shots = gse.shots_used + n_g * k1
+    front = estimators.estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
     combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
               (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
     to_estimate = [c for c in combos if c[1] != c[2]]
     nu_each = cfg.nu / (3.0 * max(1, len(to_estimate)))
-    n_g2, k2 = mom_schedule(2.0 * approx.total_weight ** 4, cfg.eta, eps_local,
-                            nu_each, cfg.n_g, cfg.k)
+    n_g, k = mom_schedule(2.0 * front.approx.total_weight ** 4, cfg.eta,
+                          cfg.epsilon / 4.0, nu_each, cfg.n_g, cfg.k)
     total = 0.0 + 0.0j
+    shots = front.shots
     for stage, (weight, a_idx, b_idx) in enumerate(combos):
         if a_idx == b_idx:
             total += weight  # gamma_a^2 = identity, expectation exactly 1
             continue
         phase, string = majorana_product(a_idx, b_idx, n_modes)
-        e_table = estimators.expectation_table_2d(spectral, phi0,
-                                                  string.matrix(), approx.d)
-        num = estimators._mom_2d(approx, e_table, x_good, n_g2, k2,
-                                 stage_rng(cfg.seed, "weighted", index=stage),
-                                 budget, spectral.tau)
-        total += weight * phase * (num / p0_bar)
-        shots += n_g2 * k2
-    value = total / 4.0
+        e_table = estimators.expectation_table_2d(spectral, phi0, string,
+                                                  front.approx.d)
+        num = estimators.weighted_stage(
+            front.approx, e_table, front.x_good, n_g, k,
+            stage_rng(cfg.seed, "weighted", index=stage), front.budget,
+            spectral.tau)
+        total += weight * phase * (num / front.p0_bar)
+        shots += n_g * k
     return EstimateReport(
-        value=value, shots_used=shots, budget=budget, config=cfg,
-        intermediate={"x_good": x_good, "p0_bar": p0_bar,
-                      "d_prop": approx.d, "gamma": gamma})
+        value=total / 4.0, shots_used=shots, budget=front.budget, config=cfg,
+        intermediate={key: front.intermediate[key]
+                      for key in ("x_good", "p0_bar", "d_prop", "gamma")})

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import applications, estimators, fourier, hadamard, serialization
 from .estimators import EstimationConfig
-from .seeding import stage_rng
+from .seeding import stage_rng, stage_sequence
 from .serialization import ConfigError
 from .spectral import diagonalize, exact_cdf, mixed_with_noise, normalized, overlaps
 
@@ -127,13 +127,14 @@ def _finish_record(record: dict, report, exact=None) -> dict:
     return record
 
 
-def _write_cdf_trace(path: str, spectral, phi0, approx, pool_js, pool_zs):
+def _write_cdf_trace(path: str, spectral, phi0, gse) -> None:
     grid = np.linspace(-math.pi / 3, math.pi / 3, 401)
     p = overlaps(phi0, spectral)
     exact = np.atleast_1d(exact_cdf(spectral, p, grid))
-    estimated = np.array([
-        float(np.mean(estimators.g_estimator(approx, x, pool_js, pool_zs)).real)
-        for x in grid])
+    # mean of G(x) over the run's own GSE pool, taken as one Certify batch
+    pool = gse.sums.sum(axis=0, keepdims=True)
+    estimated = [estimators.batch_means(gse.approx, pool, x, gse.shots_used)[0].real
+                 for x in grid]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "C_exact", "C_estimated"])
@@ -148,13 +149,7 @@ def run_gse(config: dict, gamma: float | None = None) -> dict:
     record = _base_record(config, "gse")
     trace = config.get("cdf_trace")
     if trace:
-        delta = spectral.tau * cfg.epsilon
-        approx = fourier.build_fourier_approx(delta, cfg.eta / 8.0)
-        rng = stage_rng(cfg.seed, "generic")
-        e_table = estimators.expectation_table_1d(spectral, phi0, approx.d)
-        js = estimators.sample_j_batch(approx, 20000, rng)
-        zs = hadamard.draw_xy_pm1(e_table[js + approx.d], rng)
-        _write_cdf_trace(trace, spectral, phi0, approx, js, zs)
+        _write_cdf_trace(trace, spectral, phi0, report)
         record["cdf_trace"] = trace
     return _finish_record(record, report, exact=float(spectral.eigenvalues[0]))
 
@@ -301,8 +296,7 @@ def sweep(config: dict) -> list[dict]:
                 point["gamma_override"] = gamma
             else:
                 point[key] = float(value)
-        seq = np.random.SeedSequence(entropy=_resolve_seed(config),
-                                     spawn_key=(5, index))
+        seq = stage_sequence(_resolve_seed(config), "sweep-point", index)
         point["seed"] = int(seq.generate_state(1)[0])
         record = _RUNNERS[mode](point, gamma)
         record["grid_point"] = {k: v for (k, _), v in zip(axes, values)}

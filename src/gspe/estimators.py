@@ -2,10 +2,11 @@
 
 The pieces, bottom up: importance sampling of the Fourier index J, the
 single-shot estimators G and G2 for the approximate CDFs, mean and
-median-of-means aggregation, the Certify / InvertCDF binary search for the
-ground energy, the good-point construction, and the three end-to-end
-property-estimation pipelines (commuting unitary, general unitary via the
-two-time circuit, block-encoded observable).
+median-of-means aggregation, the Certify / InvertCDF binary search, and the
+staged pipeline GSE -> good point -> overlap -> weighted stage.  Each stage is
+a public function; the three property pipelines (commuting unitary, general
+unitary via the two-time circuit, block-encoded observable) and the
+applications are short compositions of them.
 
 Shot counting: one "shot" is one bundled sampler invocation (an X run plus a
 Y run at the same time parameters).  Evolution time is accounted per shot as
@@ -20,6 +21,8 @@ import numpy as np
 
 from . import hadamard
 from .fourier import FourierApprox, build_fourier_approx
+from .hadamard import (block_norm_table, expectation_table_1d,
+                       expectation_table_2d, expectation_table_O)
 from .seeding import stage_rng
 from .spectral import SpectralData, as_state
 
@@ -216,22 +219,21 @@ def median_of_means(values, n_g: int, k: int) -> complex:
 
 # --- exact ACDF evaluators (ground truth without sampling) --------------------
 
-def acdf_exact(approx: FourierApprox, spectral: SpectralData, phi0, x):
-    """ACDF (F * p)(x) = sum_j c_j e^{ijx} <phi0|e^{-ij tau H}|phi0>."""
-    moments = expectation_table_1d(spectral, phi0, approx.d)
+def _acdf(approx: FourierApprox, moments: np.ndarray, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phases = np.exp(1j * np.outer(x, approx.js))
     out = phases @ (approx.coefficients * moments)
     return out if out.size > 1 else complex(out[0])
+
+
+def acdf_exact(approx: FourierApprox, spectral: SpectralData, phi0, x):
+    """ACDF (F * p)(x) = sum_j c_j e^{ijx} <phi0|e^{-ij tau H}|phi0>."""
+    return _acdf(approx, expectation_table_1d(spectral, phi0, approx.d), x)
 
 
 def acdf_weighted_exact(approx: FourierApprox, spectral: SpectralData, phi0,
                         o_matrix, x):
-    moments = expectation_table_O(spectral, phi0, o_matrix, approx.d)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(1j * np.outer(x, approx.js))
-    out = phases @ (approx.coefficients * moments)
-    return out if out.size > 1 else complex(out[0])
+    return _acdf(approx, expectation_table_O(spectral, phi0, o_matrix, approx.d), x)
 
 
 def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
@@ -240,44 +242,6 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
     px = approx.coefficients * np.exp(1j * approx.js * x)
     py = approx.coefficients * np.exp(1j * approx.js * y)
     return complex(px @ table @ py)
-
-
-# --- exact-expectation tables over j in [-d, d] --------------------------------
-
-def expectation_table_1d(spectral: SpectralData, phi0, d: int) -> np.ndarray:
-    p = np.abs(spectral.to_eigenbasis(phi0)) ** 2
-    js = np.arange(-d, d + 1)
-    return np.exp(-1j * np.outer(js, spectral.scaled_eigenvalues)) @ p
-
-
-def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
-    phi0 = as_state(phi0, dim=spectral.dim)
-    o_mat = o_matrix.matrix() if hasattr(o_matrix, "matrix") else np.asarray(o_matrix)
-    a = spectral.to_eigenbasis(phi0)
-    b = spectral.eigenvectors.conj().T @ (np.asarray(o_mat, dtype=complex).conj().T @ phi0)
-    w = b.conj() * a
-    js = np.arange(-d, d + 1)
-    return np.exp(-1j * np.outer(js, spectral.scaled_eigenvalues)) @ w
-
-
-def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
-    """table[j + d, j' + d] = <phi0| e^{-ij tau H} O e^{-ij' tau H} |phi0>."""
-    o_eig = hadamard.eigenbasis_operator(spectral, o_matrix)
-    a = spectral.to_eigenbasis(phi0)
-    js = np.arange(-d, d + 1)
-    phases = np.exp(-1j * np.outer(js, spectral.scaled_eigenvalues))
-    left = phases * a.conj()[None, :]
-    right = phases * a[None, :]
-    return left @ o_eig @ right.T
-
-
-def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
-    """nsq[j' + d] = ||O e^{-i j' tau H} phi0||^2."""
-    o_eig = hadamard.eigenbasis_operator(spectral, o_matrix)
-    a = spectral.to_eigenbasis(phi0)
-    js = np.arange(-d, d + 1)
-    moved = np.exp(-1j * np.outer(js, spectral.scaled_eigenvalues)) * a[None, :]
-    return np.linalg.norm(moved @ o_eig.T, axis=1) ** 2
 
 
 # --- pooled sampling ----------------------------------------------------------
@@ -325,7 +289,8 @@ def certify(approx: FourierApprox, js, zs, x: float, eta: float,
     if js.size < n_s * n_b:
         raise EstimationError(
             f"certify needs {n_s * n_b} pooled samples, got {js.size}")
-    means = _batch_means(approx, js[:n_s * n_b], zs[:n_s * n_b], x, n_s, n_b)
+    sums = _grouped_sums(approx, js[:n_s * n_b], zs[:n_s * n_b], n_s, n_b)
+    means = batch_means(approx, sums, x, n_s)
     c = int(np.sum(means.real >= 0.75 * eta))
     return 1 if c <= n_b / 2 else 0
 
@@ -340,12 +305,9 @@ def _grouped_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarr
     return (re + 1j * im).reshape(n_b, width)
 
 
-def _batch_means(approx, js, zs, x, n_s, n_b):
-    sums = _grouped_sums(approx, js, zs, n_s, n_b)
-    return _batch_means_from_sums(approx, sums, x, n_s)
-
-
-def _batch_means_from_sums(approx, sums, x, n_s):
+def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,
+                n_s: int) -> np.ndarray:
+    """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d]."""
     phases = np.exp(1j * (approx.phases + approx.js * x))
     return approx.total_weight / n_s * (sums @ phases)
 
@@ -374,6 +336,13 @@ def invert_cdf(approx: FourierApprox, js, zs, eta: float, delta: float,
     Midpoint shifts are +-(2/3) delta and the loop ends at width 2 delta.
     """
     sums = _grouped_sums(approx, js[:n_s * n_b], zs[:n_s * n_b], n_s, n_b)
+    return _invert_sums(approx, sums, eta, delta, n_s)
+
+
+def _invert_sums(approx: FourierApprox, sums: np.ndarray, eta: float,
+                 delta: float, n_s: int) -> float:
+    """InvertCDF on the per-batch sums S[r, j + d] of the pool."""
+    n_b = sums.shape[0]
     x_left = -math.pi / 3.0 - SEARCH_PAD * delta
     x_right = math.pi / 3.0 + SEARCH_PAD * delta
     max_iter = bracket_iterations(delta, x_right - x_left) + 2
@@ -382,7 +351,7 @@ def invert_cdf(approx: FourierApprox, js, zs, eta: float, delta: float,
         if iterations > max_iter:
             raise EstimationError("binary search failed to contract")
         x_mid = 0.5 * (x_left + x_right)
-        means = _batch_means_from_sums(approx, sums, x_mid, n_s)
+        means = batch_means(approx, sums, x_mid, n_s)
         c = int(np.sum(means.real >= 0.75 * eta))
         if c > n_b / 2:
             # evidence C(x_mid + (2/3) delta) > eta/2: crossing is left of here
@@ -393,15 +362,25 @@ def invert_cdf(approx: FourierApprox, js, zs, eta: float, delta: float,
     return 0.5 * (x_left + x_right)
 
 
-# --- ground state energy ------------------------------------------------------
+# --- the pipeline stages: GSE -> good point -> overlap -> weighted -----------
+
+@dataclass(kw_only=True)
+class GSEReport(EstimateReport):
+    """EstimateGSE's report plus the approximant it used and its pool's
+    per-batch, per-j sums S[r, j + d], all that Certify reads of the pool."""
+
+    approx: FourierApprox
+    sums: np.ndarray
+
 
 def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
-                 nu: float | None = None, rng=None) -> EstimateReport:
-    """EstimateGSE: returns the ground energy estimate (value = x*/tau).
+                 nu: float | None = None, rng=None) -> GSEReport:
+    """EstimateGSE, the GSE stage: value = x*/tau.
 
     The Heaviside approximant is built at delta = tau * epsilon with
-    approximation budget eta/8, the shared (J, Z) pool is drawn once, and the
-    CDF is inverted by the Certify binary search.
+    approximation budget eta/8, the shared (J, Z) pool is drawn once and
+    reduced to its per-batch sums, and the CDF is inverted by the Certify
+    binary search on them.
     """
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
@@ -413,10 +392,11 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     budget = EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d)
     js, zs = _draw_pool_1d(approx, e_table, n_s * n_b, rng, budget, spectral.tau)
-    x_star = invert_cdf(approx, js, zs, cfg.eta, delta, n_s, n_b)
-    return EstimateReport(
+    sums = _grouped_sums(approx, js, zs, n_s, n_b)
+    x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
+    return GSEReport(
         value=x_star / spectral.tau, shots_used=n_s * n_b, budget=budget,
-        config=cfg,
+        config=cfg, approx=approx, sums=sums,
         intermediate={"x_star": x_star, "d_gse": approx.d,
                       "n_s": n_s, "n_b": n_b, "tau": spectral.tau,
                       "total_weight_gse": approx.total_weight})
@@ -433,43 +413,109 @@ def good_point(x_star: float, tau: float, gamma: float, *,
     return x_star + tau * gamma / 2.0
 
 
-# --- overlap and weighted stages ----------------------------------------------
-
-def _mom_1d(approx, e_table, x_good, n_g, k, rng, budget, tau):
-    js, zs = _draw_pool_1d(approx, e_table, n_g * k, rng, budget, tau)
-    # same value as g_estimator, with the per-j phases looked up from a table
+def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
+                   n_g: int, k: int, rng, budget: EvolutionBudget, tau: float,
+                   *, nsq_table=None, alpha=None) -> complex:
+    """Median-of-means estimate at x_good, from n_g * k fresh shots, of
+    sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
+    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots when
+    ``nsq_table`` and ``alpha`` are given)."""
+    # same values as g_estimator / g2_estimator, per-j phases from a table
     phase = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
-    return median_of_means(zs * phase[js + approx.d], n_g, k)
+    if table.ndim == 1:
+        js, zs = _draw_pool_1d(approx, table, n_g * k, rng, budget, tau)
+        values = zs * phase[js + approx.d]
+    else:
+        j1, j2, zs = _draw_pool_2d(approx, table, n_g * k, rng, budget, tau,
+                                   nsq_table=nsq_table, alpha=alpha)
+        values = zs * phase[j1 + approx.d] * phase[j2 + approx.d]
+    return median_of_means(values, n_g, k)
 
 
-def _mom_2d(approx, e_table, x_good, n_g, k, rng, budget, tau, *,
-            nsq_table=None, alpha=None):
-    j1, j2, zs = _draw_pool_2d(approx, e_table, n_g * k, rng, budget, tau,
-                               nsq_table=nsq_table, alpha=alpha)
-    phase = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
-    return median_of_means(zs * phase[j1 + approx.d] * phase[j2 + approx.d],
-                           n_g, k)
+def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
+    """Approximant of the overlap and weighted stages: delta = tau*gamma/5
+    keeps both jumps clear of the good point; budget eta*epsilon/32."""
+    gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
+    return build_fourier_approx(spectral.tau * gamma / 5.0,
+                                cfg.eta * (cfg.epsilon / 4.0) / 8.0)
+
+
+def _overlap_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float):
+    return mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta,
+                        cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
 
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
                      nu: float | None = None, rng=None,
                      budget: EvolutionBudget | None = None) -> float:
-    """Median-of-means estimate of the ground-state overlap p0 = C(x_good)."""
+    """The overlap stage: median-of-means estimate of p0 = C(x_good)."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
-    gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
-    eps_local = cfg.epsilon / 4.0
-    if approx is None:
-        approx = build_fourier_approx(spectral.tau * gamma / 5.0,
-                                      cfg.eta * eps_local / 8.0)
-    n_g, k = mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta, eps_local,
-                          nu, cfg.n_g, cfg.k)
+    approx = approx if approx is not None else _property_approx(spectral, cfg)
+    n_g, k = _overlap_schedule(approx, cfg, nu)
     rng = rng if rng is not None else stage_rng(cfg.seed, "overlap")
     budget = budget if budget is not None else EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d)
-    est = _mom_1d(approx, e_table, x_good, n_g, k, rng, budget, spectral.tau)
-    return est.real
+    return weighted_stage(approx, e_table, x_good, n_g, k, rng, budget,
+                          spectral.tau).real
+
+
+@dataclass
+class Denominator:
+    """What the stages before the weighted one hand it, and what they spent."""
+
+    x_good: float
+    approx: FourierApprox
+    p0_bar: float
+    nu: float
+    budget: EvolutionBudget
+    shots: int
+    intermediate: dict
+
+    def ratio(self, cfg: EstimationConfig, table: np.ndarray, var_bound: float,
+              tau: float, *, nsq_table=None, alpha=None) -> EstimateReport:
+        """Weighted stage on ``table`` at failure probability nu, divided by
+        p0_bar; ``var_bound`` bounds the second moment of one shot."""
+        n_g, k = mom_schedule(var_bound, cfg.eta, cfg.epsilon / 4.0, self.nu,
+                              cfg.n_g, cfg.k)
+        num = weighted_stage(self.approx, table, self.x_good, n_g, k,
+                             stage_rng(cfg.seed, "weighted"), self.budget, tau,
+                             nsq_table=nsq_table, alpha=alpha)
+        return EstimateReport(value=num / self.p0_bar,
+                              shots_used=self.shots + n_g * k,
+                              budget=self.budget, config=cfg,
+                              intermediate=dict(self.intermediate, p0o0_bar=num))
+
+
+def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
+                         nu: float, x_good: float | None = None) -> Denominator:
+    """EstimateGSE at accuracy gamma/8 and the good point (both skipped when
+    ``x_good`` is given), then the overlap p0_bar = C(x_good), which must come
+    out positive; each stage at failure probability nu."""
+    gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
+    if gamma <= 0.0:
+        raise PreconditionError("pipelines need a positive spectral gap")
+    budget, shots, inter = EvolutionBudget(), 0, {"gamma": gamma}
+    if x_good is None:
+        eps_gse = gamma / 8.0
+        gse = estimate_gse(spectral, phi0, replace(cfg, epsilon=eps_gse, gamma=gamma),
+                           nu=nu, rng=stage_rng(cfg.seed, "gse"))
+        x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
+                            epsilon=eps_gse)
+        budget, shots = gse.budget, gse.shots_used
+        inter.update(gse.intermediate)
+    approx = _property_approx(spectral, cfg)
+    p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
+                              budget=budget)
+    if p0_bar <= 0.0:
+        raise EstimationError(f"overlap estimate {p0_bar} is not positive")
+    n_g, k = _overlap_schedule(approx, cfg, nu)
+    inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
+                  "n_g": n_g, "k_overlap": k,
+                  "total_weight_prop": approx.total_weight})
+    return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, nu=nu,
+                       budget=budget, shots=shots + n_g * k, intermediate=inter)
 
 
 # --- end-to-end pipelines -----------------------------------------------------
@@ -479,77 +525,28 @@ def _dense_hamiltonian(spectral: SpectralData) -> np.ndarray:
     return (v * spectral.eigenvalues) @ v.conj().T
 
 
-def _pipeline_common(spectral, phi0, cfg):
-    phi0 = as_state(phi0, dim=spectral.dim)
-    gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
-    if gamma <= 0.0:
-        raise PreconditionError("pipelines need a positive spectral gap")
-    eps_gse = gamma / 8.0
-    gse_cfg = replace(cfg, epsilon=eps_gse, gamma=gamma)
-    gse = estimate_gse(spectral, phi0, gse_cfg, nu=cfg.nu / 3.0,
-                       rng=stage_rng(cfg.seed, "gse"))
-    x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
-                        epsilon=eps_gse)
-    eps_local = cfg.epsilon / 4.0
-    approx = build_fourier_approx(spectral.tau * gamma / 5.0,
-                                  cfg.eta * eps_local / 8.0)
-    budget = gse.budget
-    e_plain = expectation_table_1d(spectral, phi0, approx.d)
-    n_g, k1 = mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta, eps_local,
-                           cfg.nu / 3.0, cfg.n_g, cfg.k)
-    p0_bar = _mom_1d(approx, e_plain, x_good, n_g, k1,
-                     stage_rng(cfg.seed, "overlap"), budget, spectral.tau).real
-    if p0_bar <= 0.0:
-        raise EstimationError(f"overlap estimate {p0_bar} is not positive")
-    shots = gse.shots_used + n_g * k1
-    inter = dict(gse.intermediate)
-    inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
-                  "n_g": n_g, "k_overlap": k1, "gamma": gamma,
-                  "total_weight_prop": approx.total_weight})
-    return phi0, x_good, approx, budget, p0_bar, shots, inter, eps_local
-
-
-def _finish(cfg, numerator, p0_bar, shots, budget, inter):
-    inter["p0o0_bar"] = numerator
-    value = numerator / p0_bar
-    return EstimateReport(value=value, shots_used=shots, budget=budget,
-                          config=cfg, intermediate=inter)
-
-
 def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
                                 cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a unitary observable commuting with H."""
-    o_mat = hadamard.require_unitary(
-        o_operator.matrix() if hasattr(o_operator, "matrix")
-        else np.asarray(o_operator, dtype=complex))
+    o_mat = hadamard.require_unitary(hadamard.as_matrix(o_operator))
     h_mat = _dense_hamiltonian(spectral)
     comm = np.linalg.norm(h_mat @ o_mat - o_mat @ h_mat)
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(h_mat)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
-    (phi0, x_good, approx, budget, p0_bar, shots, inter,
-     eps_local) = _pipeline_common(spectral, phi0, cfg)
-    e_table = expectation_table_O(spectral, phi0, o_mat, approx.d)
-    n_g, k = mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta, eps_local,
-                          cfg.nu / 3.0, cfg.n_g, cfg.k)
-    num = _mom_1d(approx, e_table, x_good, n_g, k,
-                  stage_rng(cfg.seed, "weighted"), budget, spectral.tau)
-    return _finish(cfg, num, p0_bar, shots + n_g * k, budget, inter)
+    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    table = expectation_table_O(spectral, phi0, o_mat, front.approx.d)
+    return front.ratio(cfg, table, 2.0 * front.approx.total_weight ** 2,
+                       spectral.tau)
 
 
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
                             cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a general unitary observable (two-time circuit)."""
-    o_mat = hadamard.require_unitary(
-        o_operator.matrix() if hasattr(o_operator, "matrix")
-        else np.asarray(o_operator, dtype=complex))
-    (phi0, x_good, approx, budget, p0_bar, shots, inter,
-     eps_local) = _pipeline_common(spectral, phi0, cfg)
-    e_table = expectation_table_2d(spectral, phi0, o_mat, approx.d)
-    n_g, k = mom_schedule(2.0 * approx.total_weight ** 4, cfg.eta, eps_local,
-                          cfg.nu / 3.0, cfg.n_g, cfg.k)
-    num = _mom_2d(approx, e_table, x_good, n_g, k,
-                  stage_rng(cfg.seed, "weighted"), budget, spectral.tau)
-    return _finish(cfg, num, p0_bar, shots + n_g * k, budget, inter)
+    o_mat = hadamard.require_unitary(hadamard.as_matrix(o_operator))
+    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    table = expectation_table_2d(spectral, phi0, o_mat, front.approx.d)
+    return front.ratio(cfg, table, 2.0 * front.approx.total_weight ** 4,
+                       spectral.tau)
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,
@@ -561,15 +558,12 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     post-selected circuit, whose per-shot variance carries an alpha^2 factor
     that the schedule absorbs.
     """
-    (phi0, x_good, approx, budget, p0_bar, shots, inter,
-     eps_local) = _pipeline_common(spectral, phi0, cfg)
-    e_table = expectation_table_2d(spectral, phi0, block.operator, approx.d)
-    nsq = block_norm_table(spectral, phi0, block.operator, approx.d)
-    var_bound = 2.0 * block.alpha ** 2 * approx.total_weight ** 4
-    n_g, k = mom_schedule(var_bound, cfg.eta, eps_local, cfg.nu / 3.0,
-                          cfg.n_g, cfg.k)
-    num = _mom_2d(approx, e_table, x_good, n_g, k,
-                  stage_rng(cfg.seed, "weighted"), budget, spectral.tau,
-                  nsq_table=nsq, alpha=block.alpha)
-    inter["alpha"] = block.alpha
-    return _finish(cfg, num, p0_bar, shots + n_g * k, budget, inter)
+    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    d = front.approx.d
+    report = front.ratio(
+        cfg, expectation_table_2d(spectral, phi0, block.operator, d),
+        2.0 * block.alpha ** 2 * front.approx.total_weight ** 4, spectral.tau,
+        nsq_table=block_norm_table(spectral, phi0, block.operator, d),
+        alpha=block.alpha)
+    report.intermediate["alpha"] = block.alpha
+    return report

@@ -239,11 +239,14 @@ def degree_for(delta: float, epsilon: float, degree_cap: int = DEGREE_CAP) -> in
     return hi
 
 
-def _validate(approx: FourierApprox) -> None:
-    c = approx.coefficients
-    d = approx.d
+def _check_conjugate_symmetric(c: np.ndarray) -> None:
     if np.abs(c - np.conj(c[::-1])).max() > 1e-10:
         raise FourierConstructionError("coefficients are not conjugate-symmetric")
+
+
+def _validate(approx: FourierApprox) -> None:
+    c = approx.coefficients
+    _check_conjugate_symmetric(c)
     js = np.abs(approx.js)
     nonzero = js > 0
     if (np.abs(c[nonzero]) * js[nonzero]).max() > COEFF_DECAY_CONSTANT:
@@ -272,20 +275,8 @@ def build_fourier_approx(delta: float, epsilon: float) -> FourierApprox:
 
 
 def evaluate_F(approx: FourierApprox, x):
-    """F(x) as a real number; the imaginary residue of the full complex sum is
-    checked to be negligible (conjugate symmetry makes it rounding-level)."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    full = np.zeros(x_arr.shape, dtype=complex)
-    phase = np.exp(1j * x_arr)
-    running = np.ones_like(phase)
-    d = approx.d
-    full += approx.coefficients[d]
-    for j in range(1, d + 1):
-        running = running * phase
-        full += approx.coefficients[d + j] * running
-        full += approx.coefficients[d - j] / running
-    residue = np.abs(full.imag).max()
-    if residue > 1e-9:
-        raise FourierConstructionError(f"imaginary residue {residue} too large")
-    out = full.real
+    """F(x) as a real number.  The coefficients must be conjugate-symmetric,
+    which makes the imaginary part of the full sum vanish."""
+    _check_conjugate_symmetric(approx.coefficients)
+    out = evaluate_coefficients(approx.coefficients, np.atleast_1d(x))
     return out if np.ndim(x) else float(out[0])

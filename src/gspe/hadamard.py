@@ -2,8 +2,9 @@
 
 Every sampler simulates the measurement distribution of the literal circuit
 (pre-measurement state built register by register), never an approximation.
-Vectorized ``draw_*`` helpers reproduce the same laws from precomputed exact
-expectation tables; the test suite pins the two paths against each other.
+Vectorized ``draw_*`` helpers reproduce the same laws from the exact
+expectation tables built here; the single-index targets evaluate the same
+moment code, and the test suite pins them against the literal circuits.
 
 Sign conventions: with W = I the outcome 0 maps to X = +1; with W = S
 (phase gate diag(1, i)) the outcome 0 maps to Y = -1, so that
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOperator
-from .spectral import SpectralData, as_state, evolve
+from .spectral import SpectralData, as_state, evolve, overlaps
 
 UNITARY_TOL = 1e-10
 
@@ -60,8 +60,10 @@ class BlockEncoding:
         return self.operator.shape[0]
 
 
-def _as_matrix(op, dim: int | None = None) -> np.ndarray:
-    mat = op.matrix() if isinstance(op, PauliOperator) else np.asarray(op, dtype=complex)
+def as_matrix(op, dim: int | None = None) -> np.ndarray:
+    """Dense complex matrix of an operator: anything with a ``matrix()``
+    method (Pauli strings and operators) or an array-like."""
+    mat = np.asarray(op.matrix() if hasattr(op, "matrix") else op, dtype=complex)
     if dim is not None and mat.shape != (dim, dim):
         raise ValueError(f"operator shape {mat.shape}, expected {(dim, dim)}")
     return mat
@@ -74,47 +76,91 @@ def require_unitary(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-# --- exact targets ----------------------------------------------------------
+# --- exact moments: each formula once, over a vector of indices j (the tables
+# take j = -d..d, the single-index targets the circuits are pinned to one j)
+
+def _phases(eigenvalues: np.ndarray, times) -> np.ndarray:
+    """Row r holds e^{-i t_r lambda_k}."""
+    return np.exp(-1j * np.outer(times, eigenvalues))
+
+
+def _one_time(spectral: SpectralData, weights: np.ndarray, js) -> np.ndarray:
+    """sum_k w_k e^{-i j tau lambda_k} for each j."""
+    return _phases(spectral.scaled_eigenvalues, js) @ weights
+
+
+def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
+    """w_k = <phi0|O|k><k|phi0>, the weights of <phi0| O e^{-i j tau H} |phi0>."""
+    phi0 = as_state(phi0, dim=spectral.dim)
+    o_mat = as_matrix(o_matrix, spectral.dim)
+    a = spectral.to_eigenbasis(phi0)
+    b = spectral.eigenvectors.conj().T @ (o_mat.conj().T @ phi0)
+    return b.conj() * a
+
+
+def _two_time(spectral: SpectralData, phi0, o_matrix, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """M[r, c] = <phi0| L_r O R_c |phi0>; L_r, R_c given by their eigenbasis
+    phase rows."""
+    o_eig = eigenbasis_operator(spectral, o_matrix)
+    a = spectral.to_eigenbasis(phi0)
+    return (left * a.conj()[None, :]) @ o_eig @ (right * a[None, :]).T
+
+
+def expectation_table_1d(spectral: SpectralData, phi0, d: int) -> np.ndarray:
+    """table[j + d] = <phi0| e^{-i j tau H} |phi0>."""
+    return _one_time(spectral, overlaps(phi0, spectral), np.arange(-d, d + 1))
+
+
+def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
+    """table[j + d] = <phi0| O e^{-i j tau H} |phi0>."""
+    return _one_time(spectral, _observable_weights(spectral, phi0, o_matrix),
+                     np.arange(-d, d + 1))
+
+
+def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
+    """table[j + d, j' + d] = <phi0| e^{-ij tau H} O e^{-ij' tau H} |phi0>."""
+    phases = _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1))
+    return _two_time(spectral, phi0, o_matrix, phases, phases)
+
+
+def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
+    """nsq[j' + d] = ||O e^{-i j' tau H} phi0||^2."""
+    o_eig = eigenbasis_operator(spectral, o_matrix)
+    a = spectral.to_eigenbasis(phi0)
+    moved = _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1)) * a[None, :]
+    return np.linalg.norm(moved @ o_eig.T, axis=1) ** 2
+
 
 def exact_expectation_1d(spectral: SpectralData, phi0, j: int) -> complex:
     """<phi0| e^{-i j tau H} |phi0>."""
-    p = np.abs(spectral.to_eigenbasis(phi0)) ** 2
-    return complex(np.sum(p * np.exp(-1j * j * spectral.scaled_eigenvalues)))
+    return complex(_one_time(spectral, overlaps(phi0, spectral), [j])[0])
 
 
 def exact_expectation_O(spectral: SpectralData, phi0, o_matrix, j: int) -> complex:
     """<phi0| O e^{-i j tau H} |phi0>."""
-    phi0 = as_state(phi0, dim=spectral.dim)
-    o_mat = _as_matrix(o_matrix, spectral.dim)
-    a = spectral.to_eigenbasis(phi0)
-    b = spectral.eigenvectors.conj().T @ (o_mat.conj().T @ phi0)
-    return complex(np.sum(b.conj() * np.exp(-1j * j * spectral.scaled_eigenvalues) * a))
+    return complex(_one_time(
+        spectral, _observable_weights(spectral, phi0, o_matrix), [j])[0])
 
 
 def exact_expectation_2d(spectral: SpectralData, phi0, o_matrix,
                          j: int, j2: int) -> complex:
     """<phi0| e^{-i j tau H} O e^{-i j2 tau H} |phi0>."""
-    o_eig = eigenbasis_operator(spectral, o_matrix)
-    a = spectral.to_eigenbasis(phi0)
     lam = spectral.scaled_eigenvalues
-    left = a.conj() * np.exp(-1j * j * lam)
-    right = a * np.exp(-1j * j2 * lam)
-    return complex(left @ o_eig @ right)
+    return complex(_two_time(spectral, phi0, o_matrix, _phases(lam, [j]),
+                             _phases(lam, [j2]))[0, 0])
 
 
 def exact_expectation_block(spectral: SpectralData, phi0, o_matrix,
                             t1: float, t2: float) -> complex:
     """<phi0| e^{-i H t2} O e^{-i H t1} |phi0> for unnormalized times."""
-    o_eig = eigenbasis_operator(spectral, o_matrix)
-    a = spectral.to_eigenbasis(phi0)
     lam = spectral.eigenvalues
-    left = a.conj() * np.exp(-1j * t2 * lam)
-    right = a * np.exp(-1j * t1 * lam)
-    return complex(left @ o_eig @ right)
+    return complex(_two_time(spectral, phi0, o_matrix, _phases(lam, [t2]),
+                             _phases(lam, [t1]))[0, 0])
 
 
 def eigenbasis_operator(spectral: SpectralData, o_matrix) -> np.ndarray:
-    o_mat = _as_matrix(o_matrix, spectral.dim)
+    o_mat = as_matrix(o_matrix, spectral.dim)
     v = spectral.eigenvectors
     return v.conj().T @ o_mat @ v
 
@@ -142,14 +188,14 @@ def outcome_distribution_1d(spectral, phi0, j: int):
 
 def outcome_distribution_O(spectral, phi0, o_matrix, j: int):
     phi0 = as_state(phi0, dim=spectral.dim)
-    o_mat = require_unitary(_as_matrix(o_matrix, spectral.dim))
+    o_mat = require_unitary(as_matrix(o_matrix, spectral.dim))
     applied = o_mat @ evolve(spectral, phi0, j * spectral.tau)
     return _xy_distribution(phi0, applied)
 
 
 def outcome_distribution_2d(spectral, phi0, o_matrix, j: int, j2: int):
     phi0 = as_state(phi0, dim=spectral.dim)
-    o_mat = require_unitary(_as_matrix(o_matrix, spectral.dim))
+    o_mat = require_unitary(as_matrix(o_matrix, spectral.dim))
     tau = spectral.tau
     applied = evolve(spectral, o_mat @ evolve(spectral, phi0, j2 * tau), j * tau)
     return _xy_distribution(phi0, applied)
@@ -190,7 +236,7 @@ def sample_2d(spectral, phi0, o_matrix, j: int, j2: int, rng) -> Shot:
 def embed_block(operator, alpha: float) -> BlockEncoding:
     """One-ancilla block encoding U = [[O/a, R], [R, -O/a]] with
     R = sqrt(I - O^2/a^2), built through the eigendecomposition of O."""
-    o_mat = _as_matrix(operator)
+    o_mat = as_matrix(operator)
     if np.linalg.norm(o_mat - o_mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(o_mat)):
         raise BlockEncodingError("block-encoded observable must be Hermitian")
     evals, evecs = np.linalg.eigh(o_mat)

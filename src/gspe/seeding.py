@@ -19,8 +19,12 @@ STAGE_CODES = {
 }
 
 
+def stage_sequence(master_seed: int, stage: str,
+                   index: int = 0) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(master_seed),
+                                  spawn_key=(STAGE_CODES[stage], int(index)))
+
+
 def stage_rng(master_seed: int, stage: str, index: int = 0) -> np.random.Generator:
-    code = STAGE_CODES[stage]
-    seq = np.random.SeedSequence(entropy=int(master_seed),
-                                 spawn_key=(code, int(index)))
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.Generator(
+        np.random.PCG64(stage_sequence(master_seed, stage, index)))

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gspe import EstimationConfig, build_operator, diagonalize
+from gspe import EstimationConfig, build_operator, diagonalize, estimate_overlap
 from gspe.applications import (LinearSystemInstance, MajoranaIndex,
                                annihilation_matrix, assemble_observable,
                                build_gap_amplified, build_hg,
                                estimate_1rdm_entry, exact_1rdm_entry,
                                majorana_product, majorana_string,
-                               qlss_estimate, qlss_target_state,
-                               random_linear_system)
+                               prepare_initial_state, qlss_estimate,
+                               qlss_target_state, random_linear_system)
 from gspe.estimators import PreconditionError
+from gspe.seeding import stage_rng
 from gspe.spectral import mixed_with_noise, normalized
 
 from conftest import kron_word
@@ -148,6 +149,20 @@ def test_qlss_kappa4_z_observable(kappa4):
     assert hits >= 7
 
 
+def test_qlss_shares_the_overlap_stage(kappa4):
+    seed, epsilon, nu, overlap = 3, 0.05, 0.1, 0.6
+    report = qlss_estimate(kappa4, build_operator([(1.0, "ZI")]), epsilon, nu,
+                           "oracle", overlap=overlap, seed=seed)
+    s = diagonalize(build_gap_amplified(kappa4.a, kappa4.b, 1.0),
+                    require_unique_ground_state=False)
+    phi0 = prepare_initial_state(kappa4, s, "oracle", overlap,
+                                 stage_rng(seed, "state-prep"))
+    cfg = EstimationConfig(epsilon=epsilon, eta=0.8 * overlap, nu=nu, seed=seed,
+                           gamma=report.intermediate["gamma"])
+    assert report.intermediate["p0_bar"] == estimate_overlap(
+        s, phi0, report.intermediate["x_good"], cfg, nu=nu / 2)
+
+
 def test_qlss_observable_annihilates_kernel_partner(kappa4):
     m_tilde = assemble_observable(kappa4, build_operator([(1.0, "ZI")]))
     bbar = np.kron(np.array([1, 1]) / math.sqrt(2), kappa4.b)
@@ -277,3 +292,13 @@ def test_1rdm_hermiticity(hopping_two_modes, rng):
     assert abs(d01 - np.conj(d10)) <= 2 * 0.04
     exact01 = exact_1rdm_entry(s, 0, 1, 2)
     assert abs(d01 - exact01) <= 0.04
+
+
+def test_1rdm_shares_the_overlap_stage(hopping_two_modes, rng):
+    s = hopping_two_modes
+    noise = rng.normal(size=4) + 1j * rng.normal(size=4)
+    phi0 = mixed_with_noise(s.ground_state(), noise, 0.6)
+    cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1, seed=12)
+    report = estimate_1rdm_entry(s, phi0, 0, 1, cfg)
+    assert report.intermediate["p0_bar"] == estimate_overlap(
+        s, phi0, report.intermediate["x_good"], cfg, nu=cfg.nu / 3)

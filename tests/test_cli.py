@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gspe import cli
+from gspe.estimators import acdf_exact
+from gspe.fourier import build_fourier_approx
 from gspe.serialization import (ConfigError, load_json, parse_linear_system,
                                 parse_operator, parse_synthetic, write_record)
 
@@ -48,7 +50,7 @@ def test_run_gse_reference_seed(tmp_path):
 def test_cdf_trace_emitted(tmp_path):
     config = _gse_config(tmp_path)
     config["cdf_trace"] = str(tmp_path / "trace.csv")
-    cli.run(config)
+    record = cli.run(config)
     with open(config["cdf_trace"], newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "C_exact", "C_estimated"]
@@ -56,6 +58,18 @@ def test_cdf_trace_emitted(tmp_path):
     exact = np.array([float(r[1]) for r in rows[1:]])
     assert xs[0] == pytest.approx(-math.pi / 3)
     assert np.all(np.diff(exact) >= -1e-12)
+    # C_estimated is the mean of G over the run's own GSE pool: unbiased for
+    # the ACDF, with per-shot |G| = W * sqrt(2)
+    estimated = np.array([float(r[2]) for r in rows[1:]])
+    spectral, phi0, _ = cli._load_instance(config)
+    approx = build_fourier_approx(spectral.tau * config["epsilon"],
+                                  config["eta"] / 8.0)
+    inter = record["intermediate"]
+    assert approx.d == inter["d_gse"]
+    bound = 5 * approx.total_weight * math.sqrt(2) \
+        / math.sqrt(inter["n_s"] * inter["n_b"])
+    acdf = acdf_exact(approx, spectral, phi0, xs).real
+    assert np.all(np.abs(estimated - acdf) <= bound)
 
 
 def test_fourier_check_record(tmp_path):

@@ -529,6 +529,25 @@ def test_block_alpha_scaling(variant2q, rng):
     assert weighted_shots_2 / weighted_shots_1 == pytest.approx(4.0, rel=0.02)
 
 
+@pytest.mark.parametrize("pipeline", ["commutative", "general", "block"])
+def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
+    _, s = variant2q
+    o_mat = build_operator([(1.0, "XI" if pipeline != "commutative" else "II")]
+                           ).matrix()
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=31)
+    if pipeline == "commutative":
+        report = estimate_gsprop_commutative(s, phi0, o_mat, cfg)
+    elif pipeline == "general":
+        report = estimate_gsprop_general(s, phi0, o_mat, cfg)
+    else:
+        report = estimate_gsprop_block(s, phi0, embed_block(o_mat, 1.0), cfg)
+    x_good = report.intermediate["x_good"]
+    assert report.intermediate["p0_bar"] == estimate_overlap(
+        s, phi0, x_good, cfg, nu=cfg.nu / 3)
+
+
 def test_shot_overrides_respected(variant2q):
     _, s = variant2q
     cfg = EstimationConfig(epsilon=0.2, eta=0.5, nu=0.2, seed=0,
