@@ -134,51 +134,17 @@ def mom_schedule(var_bound: float, eta: float, eps_local: float, nu: float,
 
 # --- J sampling and the single-shot estimators --------------------------------
 
-def _alias_tables(probs: np.ndarray):
-    """Vose alias tables for O(1) categorical sampling."""
-    n = probs.size
-    scaled = probs * n
-    accept = np.ones(n)
-    alias = np.arange(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = scaled[g] + scaled[s] - 1.0
-        (small if scaled[g] < 1.0 else large).append(g)
-    return accept, alias
-
-
 def sample_j_batch(approx: FourierApprox, size: int, rng) -> np.ndarray:
     """Draw j with Pr[J = j] = |c_j| / total_weight (alias method)."""
     if approx.total_weight <= 0.0:
         raise EstimationError("total Fourier weight must be positive")
-    accept, alias = _cached_alias(approx)
-    n = accept.size
-    cell = rng.integers(0, n, size=size)
-    keep = rng.random(size) < accept[cell]
-    return np.where(keep, cell, alias[cell]) - approx.d
-
-
-_ALIAS_CACHE: dict[int, tuple] = {}
-
-
-def _cached_alias(approx: FourierApprox):
-    # keyed by object identity; the entry pins the approx so a freed id
-    # cannot be reused by a different instance while cached
-    key = id(approx)
-    hit = _ALIAS_CACHE.get(key)
-    if hit is None or hit[0] is not approx:
-        tables = _alias_tables(approx.abs_coefficients / approx.total_weight)
-        if len(_ALIAS_CACHE) > 32:
-            _ALIAS_CACHE.clear()
-        hit = (approx, tables)
-        _ALIAS_CACHE[key] = hit
-    return hit[1]
+    accept, alias = approx.alias_tables
+    js = rng.integers(0, accept.size, size=size)
+    for block in hadamard.sample_blocks(size):
+        cell = js[block]
+        keep = rng.random(cell.size) < accept[cell]
+        js[block] = np.where(keep, cell, alias[cell]) - approx.d
+    return js
 
 
 def sample_J(approx: FourierApprox, rng) -> int:
@@ -246,35 +212,34 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
 
 # --- pooled sampling ----------------------------------------------------------
 
-_DRAW_CHUNK = 1 << 21
+_DRAW_CHUNK = 1 << 21  # shots per draw call: fixes the order of X and Y draws
 
 
-def _draw_pool_1d(approx, e_table, size, rng, budget, tau):
-    js = sample_j_batch(approx, size, rng)
-    zs = np.empty(size, dtype=complex)
-    for lo in range(0, size, _DRAW_CHUNK):
-        hi = min(size, lo + _DRAW_CHUNK)
-        zs[lo:hi] = hadamard.draw_xy_pm1(e_table[js[lo:hi] + approx.d], rng)
-    budget.add_times(np.abs(js) * tau)
-    return js, zs
+def _draw_pool(approx, e_table, size, rng, budget, tau, *, nsq_table=None,
+               alpha=None):
+    """One J array per axis of ``e_table`` (J, or J and J'), then the shots
+    Z; block-circuit shots when ``nsq_table`` and ``alpha`` are given.
 
-
-def _draw_pool_2d(approx, e_table, size, rng, budget, tau, *,
-                  nsq_table=None, alpha=None):
-    j1 = sample_j_batch(approx, size, rng)
-    j2 = sample_j_batch(approx, size, rng)
+    Each shot's expectation is looked up into Z and the draw replaces it in
+    place, so the pool allocates nothing of its size beyond its outputs and
+    the evolution times.
+    """
     d = approx.d
+    index = [sample_j_batch(approx, size, rng) for _ in range(e_table.ndim)]
     zs = np.empty(size, dtype=complex)
+    times = np.empty(size)
+    for b in hadamard.sample_blocks(size):
+        zs[b] = e_table[tuple(js[b] + d for js in index)]
+        times[b] = sum(np.abs(js[b]) for js in index) * tau
     for lo in range(0, size, _DRAW_CHUNK):
-        hi = min(size, lo + _DRAW_CHUNK)
-        e = e_table[j1[lo:hi] + d, j2[lo:hi] + d]
+        chunk = zs[lo:lo + _DRAW_CHUNK]
         if nsq_table is None:
-            zs[lo:hi] = hadamard.draw_xy_pm1(e, rng)
+            hadamard.draw_xy_pm1(chunk, rng, out=chunk)
         else:
-            zs[lo:hi] = hadamard.draw_block_xy(
-                e, nsq_table[j2[lo:hi] + d], alpha, rng)
-    budget.add_times((np.abs(j1) + np.abs(j2)) * tau)
-    return j1, j2, zs
+            nsq = nsq_table[index[-1][lo:lo + _DRAW_CHUNK] + d]
+            hadamard.draw_block_xy(chunk, nsq, alpha, rng, out=chunk)
+    budget.add_times(times)
+    return (*index, zs)
 
 
 # --- Certify and InvertCDF ----------------------------------------------------
@@ -391,7 +356,7 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d)
-    js, zs = _draw_pool_1d(approx, e_table, n_s * n_b, rng, budget, spectral.tau)
+    js, zs = _draw_pool(approx, e_table, n_s * n_b, rng, budget, spectral.tau)
     sums = _grouped_sums(approx, js, zs, n_s, n_b)
     x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
     return GSEReport(
@@ -422,14 +387,20 @@ def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
     ``nsq_table`` and ``alpha`` are given)."""
     # same values as g_estimator / g2_estimator, per-j phases from a table
     phase = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
+    # weighted in place, block by block; each block keeps the whole-pool
+    # expression because numpy's complex product rounds differently with its
+    # operands swapped or computed in place, and this keeps every value
+    d = approx.d
     if table.ndim == 1:
-        js, zs = _draw_pool_1d(approx, table, n_g * k, rng, budget, tau)
-        values = zs * phase[js + approx.d]
+        js, zs = _draw_pool(approx, table, n_g * k, rng, budget, tau)
+        for b in hadamard.sample_blocks(zs.size):
+            zs[b] = zs[b] * phase[js[b] + d]
     else:
-        j1, j2, zs = _draw_pool_2d(approx, table, n_g * k, rng, budget, tau,
-                                   nsq_table=nsq_table, alpha=alpha)
-        values = zs * phase[j1 + approx.d] * phase[j2 + approx.d]
-    return median_of_means(values, n_g, k)
+        j1, j2, zs = _draw_pool(approx, table, n_g * k, rng, budget, tau,
+                                nsq_table=nsq_table, alpha=alpha)
+        for b in hadamard.sample_blocks(zs.size):
+            zs[b] = zs[b] * phase[j1[b] + d] * phase[j2[b] + d]
+    return median_of_means(zs, n_g, k)
 
 
 def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,6 +123,25 @@ class FourierApprox:
     @property
     def abs_coefficients(self) -> np.ndarray:
         return np.abs(self.coefficients)
+
+    @cached_property
+    def alias_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vose alias tables (accept, alias) over the cells j + d of
+        Pr[J = j] = |c_j| / total_weight, built on first use."""
+        scaled = self.abs_coefficients / self.total_weight * self.coefficients.size
+        n = scaled.size
+        accept = np.ones(n)
+        alias = np.arange(n)
+        small = [i for i in range(n) if scaled[i] < 1.0]
+        large = [i for i in range(n) if scaled[i] >= 1.0]
+        while small and large:
+            s = small.pop()
+            g = large.pop()
+            accept[s] = scaled[s]
+            alias[s] = g
+            scaled[g] = scaled[g] + scaled[s] - 1.0
+            (small if scaled[g] < 1.0 else large).append(g)
+        return accept, alias
 
     def coefficient(self, j: int) -> complex:
         if abs(j) > self.d:

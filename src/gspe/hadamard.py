@@ -69,8 +69,25 @@ def as_matrix(op, dim: int | None = None) -> np.ndarray:
     return mat
 
 
+def _unitarity_deviation(mat: np.ndarray) -> float:
+    """||U^H U - I||_2 where it exceeds UNITARY_TOL; at or below it, possibly
+    an upper bound instead.
+
+    The O(dim^2) bound sqrt(||G||_1 ||G||_inf) on the Gram deviation G settles
+    every unitary input; only a bound above the tolerance pays for the exact
+    spectral norm, max |eigvalsh(G)|, as G is Hermitian.
+    """
+    gram = mat.conj().T @ mat
+    gram[np.diag_indices_from(gram)] -= 1.0
+    mags = np.abs(gram)
+    bound = math.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max())
+    if bound <= UNITARY_TOL:
+        return bound
+    return float(np.abs(np.linalg.eigvalsh(gram)).max())
+
+
 def require_unitary(mat: np.ndarray) -> np.ndarray:
-    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]), 2)
+    dev = _unitarity_deviation(mat)
     if dev > UNITARY_TOL:
         raise NotUnitaryError(f"operator deviates from unitarity by {dev:.3e}")
     return mat
@@ -98,13 +115,24 @@ def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
     return b.conj() * a
 
 
-def _two_time(spectral: SpectralData, phi0, o_matrix, left: np.ndarray,
-              right: np.ndarray) -> np.ndarray:
-    """M[r, c] = <phi0| L_r O R_c |phi0>; L_r, R_c given by their eigenbasis
-    phase rows."""
-    o_eig = eigenbasis_operator(spectral, o_matrix)
+def _evolved_states(spectral: SpectralData, phi0, eigenvalues, times) -> np.ndarray:
+    """Column c holds e^{-i t_c H} phi0, with the spectrum of H given as
+    ``eigenvalues``: scaled for index times j, unscaled for physical times."""
     a = spectral.to_eigenbasis(phi0)
-    return (left * a.conj()[None, :]) @ o_eig @ (right * a[None, :]).T
+    return spectral.eigenvectors @ (_phases(eigenvalues, times) * a[None, :]).T
+
+
+def _two_time(o_mat: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """M[r, c] = <bra_r| O |ket_c> for state columns; with bra_r =
+    e^{i s_r H} phi0 and ket_c = e^{-i t_c H} phi0 this is
+    <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>."""
+    return bras.conj().T @ (o_mat @ kets)
+
+
+def _table_states(spectral: SpectralData, phi0, d: int) -> np.ndarray:
+    """Column j + d holds psi_j = e^{-i j tau H} phi0 for j = -d..d."""
+    return _evolved_states(spectral, phi0, spectral.scaled_eigenvalues,
+                           np.arange(-d, d + 1))
 
 
 def expectation_table_1d(spectral: SpectralData, phi0, d: int) -> np.ndarray:
@@ -119,17 +147,19 @@ def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int) -> np.nd
 
 
 def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
-    """table[j + d, j' + d] = <phi0| e^{-ij tau H} O e^{-ij' tau H} |phi0>."""
-    phases = _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1))
-    return _two_time(spectral, phi0, o_matrix, phases, phases)
+    """table[j + d, j' + d] = <phi0| e^{-ij tau H} O e^{-ij' tau H} |phi0>.
+
+    <phi0| e^{-ij tau H} is psi_{-j}^H, so the bras are the state columns in
+    reverse order.
+    """
+    states = _table_states(spectral, phi0, d)
+    return _two_time(as_matrix(o_matrix, spectral.dim), states[:, ::-1], states)
 
 
 def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
     """nsq[j' + d] = ||O e^{-i j' tau H} phi0||^2."""
-    o_eig = eigenbasis_operator(spectral, o_matrix)
-    a = spectral.to_eigenbasis(phi0)
-    moved = _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1)) * a[None, :]
-    return np.linalg.norm(moved @ o_eig.T, axis=1) ** 2
+    moved = as_matrix(o_matrix, spectral.dim) @ _table_states(spectral, phi0, d)
+    return np.linalg.norm(moved, axis=0) ** 2
 
 
 def exact_expectation_1d(spectral: SpectralData, phi0, j: int) -> complex:
@@ -143,26 +173,26 @@ def exact_expectation_O(spectral: SpectralData, phi0, o_matrix, j: int) -> compl
         spectral, _observable_weights(spectral, phi0, o_matrix), [j])[0])
 
 
+def _two_time_at(spectral: SpectralData, phi0, o_matrix, eigenvalues,
+                 s: float, t: float) -> complex:
+    """<phi0| e^{-i s H} O e^{-i t H} |phi0>: the bra evolved to -s, the ket
+    to t."""
+    states = _evolved_states(spectral, phi0, eigenvalues, [-s, t])
+    return complex(_two_time(as_matrix(o_matrix, spectral.dim), states[:, :1],
+                             states[:, 1:])[0, 0])
+
+
 def exact_expectation_2d(spectral: SpectralData, phi0, o_matrix,
                          j: int, j2: int) -> complex:
     """<phi0| e^{-i j tau H} O e^{-i j2 tau H} |phi0>."""
-    lam = spectral.scaled_eigenvalues
-    return complex(_two_time(spectral, phi0, o_matrix, _phases(lam, [j]),
-                             _phases(lam, [j2]))[0, 0])
+    return _two_time_at(spectral, phi0, o_matrix, spectral.scaled_eigenvalues,
+                        j, j2)
 
 
 def exact_expectation_block(spectral: SpectralData, phi0, o_matrix,
                             t1: float, t2: float) -> complex:
     """<phi0| e^{-i H t2} O e^{-i H t1} |phi0> for unnormalized times."""
-    lam = spectral.eigenvalues
-    return complex(_two_time(spectral, phi0, o_matrix, _phases(lam, [t2]),
-                             _phases(lam, [t1]))[0, 0])
-
-
-def eigenbasis_operator(spectral: SpectralData, o_matrix) -> np.ndarray:
-    o_mat = as_matrix(o_matrix, spectral.dim)
-    v = spectral.eigenvectors
-    return v.conj().T @ o_mat @ v
+    return _two_time_at(spectral, phi0, o_matrix, spectral.eigenvalues, t2, t1)
 
 
 # --- literal circuit distributions ------------------------------------------
@@ -247,7 +277,7 @@ def embed_block(operator, alpha: float) -> BlockEncoding:
     root = evecs @ np.diag(np.sqrt(1.0 - scaled ** 2)) @ evecs.conj().T
     top = o_mat / alpha
     unitary = np.block([[top, root], [root, -top]])
-    dev = np.linalg.norm(unitary.conj().T @ unitary - np.eye(unitary.shape[0]), 2)
+    dev = _unitarity_deviation(unitary)
     if dev > UNITARY_TOL:
         raise BlockEncodingError(f"embedding is not unitary (deviation {dev:.3e})")
     return BlockEncoding(unitary=unitary, alpha=float(alpha), m=1, operator=o_mat)
@@ -391,28 +421,66 @@ def generalized_variance(e_real: float, nsq: float, alpha: float, a: float) -> f
 
 # --- vectorized fast paths (tables of exact expectations) --------------------
 
-def draw_xy_pm1(expectations: np.ndarray, rng) -> np.ndarray:
-    """Vector of z = X + iY draws given exact target expectations."""
-    e = np.asarray(expectations, dtype=complex)
-    px = np.clip(0.5 * (1.0 + e.real), 0.0, 1.0)
-    py = np.clip(0.5 * (1.0 + e.imag), 0.0, 1.0)
-    x = np.where(rng.random(e.shape) < px, 1.0, -1.0)
-    y = np.where(rng.random(e.shape) < py, 1.0, -1.0)
-    return x + 1j * y
+SAMPLE_BLOCK = 1 << 16  # elements per block: sampler temporaries stay cache-sized
+
+
+def sample_blocks(size: int):
+    """Consecutive slices covering range(size): one slice when size is below
+    2 * SAMPLE_BLOCK, else SAMPLE_BLOCK elements each with the remainder
+    folded into the last.
+
+    Vectorized sampling runs block by block so that a pool of millions of
+    shots allocates no full-size temporaries; drawing uniforms block by block
+    consumes the generator stream exactly as one full-size draw does.
+    """
+    bounds = [SAMPLE_BLOCK * i for i in range(max(1, size // SAMPLE_BLOCK))]
+    for lo, hi in zip(bounds, bounds[1:] + [size]):
+        yield slice(lo, hi)
+
+
+def _draw_parts(e: np.ndarray, rng, out, draw) -> np.ndarray:
+    """z = X + iY with X = draw(Re e, u, block) and Y = draw(Im e, u', block)
+    over the blocks of e.
+
+    Every X is drawn before any Y, so the stream matches one
+    ``rng.random(e.shape)`` per component.  ``out``, if given, must be a
+    C-contiguous array of e's shape; it receives z and is returned.  It may
+    be ``e`` itself: each component is read before it is overwritten.
+    """
+    if out is None:
+        out = np.empty(e.shape, dtype=complex)
+    elif out.shape != e.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous with the shape of the "
+                         "expectations")
+    flat, z = e.reshape(-1), out.reshape(-1)
+    for part, dest in ((flat.real, z.real), (flat.imag, z.imag)):
+        for block in sample_blocks(flat.size):
+            dest[block] = draw(part[block], rng.random(block.stop - block.start),
+                               block)
+    return out
+
+
+def draw_xy_pm1(expectations: np.ndarray, rng, out=None) -> np.ndarray:
+    """Vector of z = X + iY draws given exact target expectations; ``out``
+    (C-contiguous, same shape, possibly ``expectations`` itself) receives
+    them if given."""
+    def pm1(part, u, block):
+        return np.where(u < np.clip(0.5 * (1.0 + part), 0.0, 1.0), 1.0, -1.0)
+
+    return _draw_parts(np.asarray(expectations, dtype=complex), rng, out, pm1)
 
 
 def draw_block_xy(expectations: np.ndarray, nsq: np.ndarray, alpha: float,
-                  rng) -> np.ndarray:
-    """Vector of z = X + iY draws for the post-selected block circuit."""
+                  rng, out=None) -> np.ndarray:
+    """Vector of z = X + iY draws for the post-selected block circuit;
+    ``out`` as for :func:`draw_xy_pm1`."""
     e = np.asarray(expectations, dtype=complex)
-    nsq = np.asarray(nsq, dtype=float)
-    p_succ = 0.5 * (1.0 + nsq / alpha ** 2)
-    pxp = np.clip(0.5 * (p_succ + e.real / alpha), 0.0, 1.0)
-    pxm = np.clip(0.5 * (p_succ - e.real / alpha), 0.0, 1.0)
-    pyp = np.clip(0.5 * (p_succ + e.imag / alpha), 0.0, 1.0)
-    pym = np.clip(0.5 * (p_succ - e.imag / alpha), 0.0, 1.0)
-    ux = rng.random(e.shape)
-    uy = rng.random(e.shape)
-    x = np.where(ux < pxp, alpha, np.where(ux < pxp + pxm, -alpha, 0.0))
-    y = np.where(uy < pyp, alpha, np.where(uy < pyp + pym, -alpha, 0.0))
-    return x + 1j * y
+    nsq = np.broadcast_to(np.asarray(nsq, dtype=float), e.shape).reshape(-1)
+
+    def three(part, u, block):
+        p_succ = 0.5 * (1.0 + nsq[block] / alpha ** 2)
+        plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
+        minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
+        return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
+
+    return _draw_parts(e, rng, out, three)

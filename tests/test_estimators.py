@@ -12,13 +12,15 @@ from gspe.estimators import (EstimationError, PreconditionError,
                              acdf_2d_exact, acdf_exact, acdf_weighted_exact,
                              bracket_iterations, certify, certify_schedule,
                              expectation_table_1d, expectation_table_2d,
-                             g2_estimator, g_estimator,
-                             invert_cdf, sample_J, sample_j_batch)
+                             EvolutionBudget, block_norm_table, g2_estimator,
+                             g_estimator, invert_cdf, sample_J, sample_j_batch,
+                             weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
-from gspe.hadamard import draw_xy_pm1, outcome_distribution_1d
+from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1,
+                           outcome_distribution_1d)
 from gspe.spectral import mixed_with_noise, overlaps
 
-from conftest import random_unitary
+from conftest import random_hermitian, random_unitary
 
 
 def _spectral_at(positions):
@@ -83,6 +85,17 @@ def test_sample_j_mean_abs(small_approx):
     expected = float(np.sum(np.abs(small_approx.js) * probs))
     var = float(np.sum(small_approx.js.astype(float) ** 2 * probs)) - expected ** 2
     assert abs(np.abs(js).mean() - expected) <= 3 * math.sqrt(var / n)
+
+
+def test_sample_j_batch_matches_full_size_alias_draw(small_approx):
+    n = 3 * SAMPLE_BLOCK + 5
+    ref = np.random.default_rng(13)
+    accept, alias = small_approx.alias_tables
+    cell = ref.integers(0, accept.size, size=n)
+    keep = ref.random(n) < accept[cell]
+    want = np.where(keep, cell, alias[cell]) - small_approx.d
+    assert np.array_equal(sample_j_batch(small_approx, n, np.random.default_rng(13)),
+                          want)
 
 
 # --- G and G2 -------------------------------------------------------------------
@@ -218,6 +231,41 @@ def test_g2_empirical_variance(small_approx):
     values = g2_estimator(a, 0.2, 0.2, j1, j2, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 4
+
+
+@pytest.mark.parametrize("kind", ["one-time", "block"])
+def test_weighted_stage_matches_unblocked_pool(small_approx, kind):
+    """The pool is drawn and weighted block by block; the estimate and the
+    evolution budget equal, bit for bit, those of the full-size formulas."""
+    spectral = _spectral_at([-0.4, 0.1])
+    phi0 = _state_with_weights(spectral, [0.5, 0.5])
+    a, d, tau, x = small_approx, small_approx.d, spectral.tau, 0.3
+    n_g, k = 3, SAMPLE_BLOCK - 7
+    n = n_g * k
+    o_mat = random_hermitian(np.random.default_rng(3), spectral.dim, norm=0.9)
+    alpha = 1.2
+    phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
+    ref = np.random.default_rng(41)
+    if kind == "one-time":
+        table, extra = expectation_table_1d(spectral, phi0, d), {}
+        js = sample_j_batch(a, n, ref)
+        zs = draw_xy_pm1(table[js + d], ref)
+        values, times = zs * phase[js + d], np.abs(js) * tau
+    else:
+        table = expectation_table_2d(spectral, phi0, o_mat, d)
+        nsq = block_norm_table(spectral, phi0, o_mat, d)
+        extra = {"nsq_table": nsq, "alpha": alpha}
+        j1 = sample_j_batch(a, n, ref)
+        j2 = sample_j_batch(a, n, ref)
+        zs = draw_block_xy(table[j1 + d, j2 + d], nsq[j2 + d], alpha, ref)
+        values = zs * phase[j1 + d] * phase[j2 + d]
+        times = (np.abs(j1) + np.abs(j2)) * tau
+    budget = EvolutionBudget()
+    got = weighted_stage(a, table, x, n_g, k, np.random.default_rng(41),
+                         budget, tau, **extra)
+    assert got == median_of_means(values, n_g, k)
+    assert (budget.max_time, budget.total_time) == (float(times.max()),
+                                                    float(times.sum()))
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -1,19 +1,24 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
 from gspe import build_operator, diagonalize, embed_block
-from gspe.hadamard import (BlockEncodingError, NotUnitaryError,
-                           block_circuit_distribution, block_success_prob,
-                           draw_block_xy, draw_xy_pm1, exact_expectation_1d,
-                           exact_expectation_2d, exact_expectation_block,
-                           exact_expectation_O, generalized_circuit_distribution,
+from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncodingError,
+                           NotUnitaryError, block_circuit_distribution, block_norm_table,
+                           block_success_prob, draw_block_xy, draw_xy_pm1,
+                           exact_expectation_1d, exact_expectation_2d,
+                           exact_expectation_block, exact_expectation_O,
+                           expectation_table_2d,
+                           generalized_circuit_distribution,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
-                           outcome_distribution_O, sample_1d, sample_block,
-                           sample_block_pair, sample_generalized, sample_O)
+                           outcome_distribution_O, require_unitary, sample_1d,
+                           sample_block, sample_block_pair, sample_generalized,
+                           sample_blocks, sample_O)
 
 from conftest import (dense_from_terms, random_hermitian, random_state,
                       random_unitary)
@@ -115,6 +120,19 @@ def test_two_time_zero_times_give_observable_mean(rng):
                - phi.conj() @ o_mat @ phi) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_2d_matches_two_time_circuit_everywhere(rng, n):
+    _, s, phi = _random_instance(rng, n)
+    o_mat = random_unitary(rng, 2 ** n)  # not Hermitian
+    assert np.linalg.norm(o_mat - o_mat.conj().T) > 0.1
+    d = 4
+    table = expectation_table_2d(s, phi, o_mat, d)
+    for j in range(-d, d + 1):
+        for j2 in range(-d, d + 1):
+            circuit = _xy_mean(outcome_distribution_2d(s, phi, o_mat, j, j2))
+            assert abs(table[j + d, j2 + d] - circuit) <= 1e-10
+
+
 def test_commuting_observable_eigen_sum(rng):
     # [H, O] = 0: expectation is sum_k p_k O_k e^{-ij tau lambda_k}
     h = dense_from_terms([(1.0, "ZZ"), (0.25, "ZI")])
@@ -136,6 +154,53 @@ def test_identity_observable_reduces_to_plain(rng):
         b = outcome_distribution_1d(s, phi, j)
         assert a["X"] == pytest.approx(b["X"], abs=1e-12)
         assert a["Y"] == pytest.approx(b["Y"], abs=1e-12)
+
+
+def _psd_sqrt(mat):
+    w, v = np.linalg.eigh(mat)
+    root = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (root + root.T)
+
+
+# symmetric and orthogonal: a 16 x 16 Sylvester-Hadamard matrix over sqrt(16)
+_REFLECTION = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 4) / 4.0
+
+# name -> (U, 1-norm bound of U^H U - I above UNITARY_TOL, accepted)
+UNITARITY_CASES = {
+    "exact": (_REFLECTION, False, True),
+    # U^H U - I = eps H_16 / 4: 2-norm eps = 5e-11, 1-norm 4 eps = 2e-10
+    "bound-only-above-tol": (_psd_sqrt(np.eye(16) + 5e-11 * _REFLECTION), True, True),
+    # U^H U - I = 1e-9 I
+    "norm-above-tol": (math.sqrt(1.0 + 1e-9) * _REFLECTION, True, False),
+}
+
+
+def _gram_deviation(u):
+    return u.conj().T @ u - np.eye(u.shape[0])
+
+
+@pytest.mark.parametrize("case", list(UNITARITY_CASES))
+def test_unitarity_decision_table(case):
+    u, bound_above, accepted = UNITARITY_CASES[case]
+    dev = _gram_deviation(u)
+    assert (np.abs(dev).sum(axis=0).max() > UNITARY_TOL) == bound_above
+    spectral_dev = np.linalg.norm(dev, 2)
+    assert (spectral_dev <= UNITARY_TOL) == accepted
+    # the embedding of alpha U has the same kind of Gram deviation; a small
+    # alpha keeps ||alpha U|| - alpha inside embed_block's 1e-12 norm slack
+    alpha = 1e-3
+    if accepted:
+        assert require_unitary(u) is u
+        b = embed_block(alpha * u, alpha)
+        embedded = _gram_deviation(b.unitary)
+        assert (np.abs(embedded).sum(axis=0).max() > UNITARY_TOL) == bound_above
+        assert np.linalg.norm(embedded, 2) <= UNITARY_TOL
+    else:
+        message = re.escape(f"{spectral_dev:.3e}")
+        with pytest.raises(NotUnitaryError, match=message):
+            require_unitary(u)
+        with pytest.raises(BlockEncodingError, match=message):
+            embed_block(alpha * u, alpha)
 
 
 def test_observable_must_be_unitary(rng, z_system):
@@ -172,6 +237,49 @@ def test_frequency_five_sigma(z_system):
     # Bernoulli variance for X: 1 - (Re e)^2
     sigma = math.sqrt((1.0 - e.real ** 2) / n)
     assert abs(zs.real.mean() - e.real) <= 5 * sigma
+
+
+@pytest.mark.parametrize("size", [0, 1, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK - 1,
+                                  2 * SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5])
+def test_sample_blocks_cover_in_order(size):
+    blocks = list(sample_blocks(size))
+    assert blocks[0].start == 0 and blocks[-1].stop == size
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    if size >= 2 * SAMPLE_BLOCK:
+        assert all(SAMPLE_BLOCK <= b.stop - b.start < 2 * SAMPLE_BLOCK
+                   for b in blocks)
+    else:
+        assert len(blocks) == 1
+
+
+def test_blocked_draws_match_full_size_draws():
+    """Block-by-block drawing gives, bit for bit, one full-size uniform draw
+    for all X followed by one for all Y; ``out`` may alias the input."""
+    n = 3 * SAMPLE_BLOCK + 5
+    gen = np.random.default_rng(5)
+    e = 0.9 * np.exp(2j * np.pi * gen.random(n))
+    nsq = gen.uniform(0.0, 0.8, n)
+    alpha = 1.3
+    ref = np.random.default_rng(9)
+    ux, uy = ref.random(n), ref.random(n)
+    pm1 = (np.where(ux < np.clip(0.5 * (1.0 + e.real), 0.0, 1.0), 1.0, -1.0)
+           + 1j * np.where(uy < np.clip(0.5 * (1.0 + e.imag), 0.0, 1.0), 1.0, -1.0))
+    assert np.array_equal(draw_xy_pm1(e, np.random.default_rng(9)), pm1)
+    buf = e.copy()
+    assert draw_xy_pm1(buf, np.random.default_rng(9), out=buf) is buf
+    assert np.array_equal(buf, pm1)
+
+    def three(u, part):
+        p_succ = 0.5 * (1.0 + nsq / alpha ** 2)
+        plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
+        minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
+        return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
+
+    block = three(ux, e.real) + 1j * three(uy, e.imag)
+    assert np.array_equal(draw_block_xy(e, nsq, alpha, np.random.default_rng(9)),
+                          block)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        draw_xy_pm1(e[:4], np.random.default_rng(9), out=buf[::2][:4])
 
 
 def test_symmetric_zero_mean(z_system, rng):
@@ -259,6 +367,27 @@ def test_block_fast_path_matches_circuit(rng):
     assert pm == pytest.approx(0.5 * (p_succ - e.real / alpha), abs=1e-12)
     pf, pp, pm = block_circuit_distribution(s, phi, b, t1, t2, "S")
     assert pp == pytest.approx(0.5 * (p_succ + e.imag / alpha), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_tables_match_block_circuit_everywhere(rng, n):
+    _, s, phi = _random_instance(rng, n)
+    o = random_hermitian(rng, 2 ** n, norm=0.9)
+    alpha = 1.2
+    b = embed_block(o, alpha)
+    d = 4
+    table = expectation_table_2d(s, phi, o, d)
+    nsq = block_norm_table(s, phi, o, d)
+    for j in range(-d, d + 1):
+        for j2 in range(-d, d + 1):
+            # the block circuit applies t1 = j2 tau first, then t2 = j tau
+            t1, t2 = j2 * s.tau, j * s.tau
+            pf, xp, xm = block_circuit_distribution(s, phi, b, t1, t2, "I")
+            _, yp, ym = block_circuit_distribution(s, phi, b, t1, t2, "S")
+            circuit = alpha * ((xp - xm) + 1j * (yp - ym))
+            assert abs(table[j + d, j2 + d] - circuit) <= 1e-10
+            # p_succ = (1 + nsq / alpha^2) / 2 depends on t1 alone
+            assert abs(nsq[j2 + d] - alpha ** 2 * (1.0 - 2.0 * pf)) <= 1e-10
 
 
 def test_block_success_frequency(rng):
