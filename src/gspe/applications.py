@@ -199,24 +199,17 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
     if kernel_mass < overlap_floor:
         raise PreconditionError(
             f"initial state overlap {kernel_mass:.3f} below floor {overlap_floor}")
-    if alpha is None:
-        alpha = max(1.0, float(np.linalg.norm(m_tilde, 2)))
-    hadamard.embed_block(m_tilde, alpha)  # M~ must be Hermitian, ||M~|| <= alpha
+    block = hadamard.embed_block(m_tilde, alpha)
     cfg = EstimationConfig(epsilon=epsilon, eta=eta, nu=nu, seed=seed,
                            gamma=gamma, n_g=n_g, k=k)
     front = estimators.estimate_denominator(spectral, phi0, cfg, nu=nu / 2.0,
                                             x_good=spectral.tau * gamma / 2.0)
-    d = front.approx.d
-    report = front.ratio(
-        cfg, estimators.expectation_table_2d(spectral, phi0, m_tilde, d),
-        2.0 * alpha ** 2 * front.approx.total_weight ** 4, spectral.tau,
-        nsq_table=estimators.block_norm_table(spectral, phi0, m_tilde, d),
-        alpha=alpha)
+    report = front.block_ratio(cfg, spectral, phi0, block)
     x = inst.solution_state()
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
              for key in ("x_good", "p0_bar", "p0o0_bar", "gamma", "d_prop")}
-    inter.update({"alpha": alpha, "tau": spectral.tau, "exact": exact,
+    inter.update({"alpha": block.alpha, "tau": spectral.tau, "exact": exact,
                   "kernel_mass": kernel_mass,
                   "error": abs(report.value - exact)})
     report.intermediate = inter

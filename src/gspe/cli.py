@@ -170,9 +170,8 @@ def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
     elif mode == "gsprop-general":
         report = estimators.estimate_gsprop_general(spectral, phi0, o_mat, cfg)
     else:
-        alpha = float(config.get("alpha") or
-                      max(1.0, np.linalg.norm(o_mat, 2)))
-        block = hadamard.embed_block(o_mat, alpha)
+        alpha = config.get("alpha")
+        block = hadamard.embed_block(o_mat, float(alpha) if alpha else None)
         report = estimators.estimate_gsprop_block(spectral, phi0, block, cfg)
     record = _base_record(config, mode)
     return _finish_record(record, report,

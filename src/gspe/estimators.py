@@ -139,12 +139,9 @@ def sample_j_batch(approx: FourierApprox, size: int, rng) -> np.ndarray:
     if approx.total_weight <= 0.0:
         raise EstimationError("total Fourier weight must be positive")
     accept, alias = approx.alias_tables
-    js = rng.integers(0, accept.size, size=size)
-    for block in hadamard.sample_blocks(size):
-        cell = js[block]
-        keep = rng.random(cell.size) < accept[cell]
-        js[block] = np.where(keep, cell, alias[cell]) - approx.d
-    return js
+    cell = rng.integers(0, accept.size, size=size)
+    keep = rng.random(size) < accept[cell]
+    return np.where(keep, cell, alias[cell]) - approx.d
 
 
 def sample_J(approx: FourierApprox, rng) -> int:
@@ -212,37 +209,75 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
 
 # --- pooled sampling ----------------------------------------------------------
 
-_DRAW_CHUNK = 1 << 21  # shots per draw call: fixes the order of X and Y draws
+def _add_sums(sums: np.ndarray, start: int, js, values, group_size: int,
+              d: int) -> None:
+    """sums[g, j + d] += the values of shots start, start + 1, ... whose
+    group (shot index // group_size) is g and whose last index is j."""
+    width = sums.shape[1]
+    first, stop = start // group_size, -(-(start + js.size) // group_size)
+    rows = np.arange(start, start + js.size) // group_size - first
+    flat = rows * width + (js + d)
+    size = (stop - first) * width
+    re = np.bincount(flat, weights=values.real, minlength=size)
+    im = np.bincount(flat, weights=values.imag, minlength=size)
+    sums[first:stop] += (re + 1j * im).reshape(-1, width)
 
 
-def _draw_pool(approx, e_table, size, rng, budget, tau, *, nsq_table=None,
-               alpha=None):
-    """One J array per axis of ``e_table`` (J, or J and J'), then the shots
-    Z; block-circuit shots when ``nsq_table`` and ``alpha`` are given.
+def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
+               group_size: int, rng, budget: EvolutionBudget, tau: float, *,
+               lead=None, nsq_table=None, alpha=None) -> np.ndarray:
+    """Draw n_groups * group_size shots on ``table`` and return their sums
+    S[g, j + d] over group g and last index j; block-circuit shots when
+    ``nsq_table`` and ``alpha`` are given.
 
-    Each shot's expectation is looked up into Z and the draw replaces it in
-    place, so the pool allocates nothing of its size beyond its outputs and
-    the evolution times.
+    A one-time table draws J per shot, a two-time table J and J'; a two-time
+    shot is multiplied by lead[J + d] before it is added at J'.  The pool
+    runs block by block (stream order in ``hadamard.sample_blocks``), so
+    nothing of its size is allocated.
     """
     d = approx.d
-    index = [sample_j_batch(approx, size, rng) for _ in range(e_table.ndim)]
-    zs = np.empty(size, dtype=complex)
-    times = np.empty(size)
-    for b in hadamard.sample_blocks(size):
-        zs[b] = e_table[tuple(js[b] + d for js in index)]
-        times[b] = sum(np.abs(js[b]) for js in index) * tau
-    for lo in range(0, size, _DRAW_CHUNK):
-        chunk = zs[lo:lo + _DRAW_CHUNK]
+    sums = np.zeros((n_groups, 2 * d + 1), dtype=complex)
+    for block in hadamard.sample_blocks(n_groups * group_size):
+        index = [sample_j_batch(approx, block.stop - block.start, rng)
+                 for _ in range(table.ndim)]
+        e = table[tuple(js + d for js in index)]
         if nsq_table is None:
-            hadamard.draw_xy_pm1(chunk, rng, out=chunk)
+            zs = hadamard.draw_xy_pm1(e, rng)
         else:
-            nsq = nsq_table[index[-1][lo:lo + _DRAW_CHUNK] + d]
-            hadamard.draw_block_xy(chunk, nsq, alpha, rng, out=chunk)
-    budget.add_times(times)
-    return (*index, zs)
+            zs = hadamard.draw_block_xy(e, nsq_table[index[-1] + d], alpha, rng)
+        budget.add_times(sum(np.abs(js) for js in index) * tau)
+        if lead is not None:
+            zs *= lead[index[0] + d]
+        _add_sums(sums, block.start, index[-1], zs, group_size, d)
+    return sums
 
 
 # --- Certify and InvertCDF ----------------------------------------------------
+
+def _shot_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarray:
+    """S[r, j + d] of the first n_b batches of n_s caller-supplied shots."""
+    if js.size < n_s * n_b:
+        raise EstimationError(
+            f"certify needs {n_s * n_b} pooled samples, got {js.size}")
+    sums = np.zeros((n_b, 2 * approx.d + 1), dtype=complex)
+    _add_sums(sums, 0, js[:n_s * n_b], zs[:n_s * n_b], n_s, approx.d)
+    return sums
+
+
+def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,
+                n_s: int) -> np.ndarray:
+    """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d]."""
+    phases = np.exp(1j * (approx.phases + approx.js * x))
+    return approx.total_weight / n_s * (sums @ phases)
+
+
+def _certify_sums(approx: FourierApprox, sums: np.ndarray, x: float,
+                  eta: float, n_s: int) -> int:
+    """:func:`certify`'s vote on the per-batch sums S[r, j + d]."""
+    means = batch_means(approx, sums, x, n_s)
+    c = int(np.sum(means.real >= 0.75 * eta))
+    return 1 if c <= sums.shape[0] / 2 else 0
+
 
 def certify(approx: FourierApprox, js, zs, x: float, eta: float,
             n_s: int, n_b: int) -> int:
@@ -251,30 +286,7 @@ def certify(approx: FourierApprox, js, zs, x: float, eta: float,
     Counts batches whose mean estimator (real part) clears (3/4) eta and
     majority-votes.
     """
-    if js.size < n_s * n_b:
-        raise EstimationError(
-            f"certify needs {n_s * n_b} pooled samples, got {js.size}")
-    sums = _grouped_sums(approx, js[:n_s * n_b], zs[:n_s * n_b], n_s, n_b)
-    means = batch_means(approx, sums, x, n_s)
-    c = int(np.sum(means.real >= 0.75 * eta))
-    return 1 if c <= n_b / 2 else 0
-
-
-def _grouped_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarray:
-    """S[r, j + d] = sum of z over batch r where J = j (one pass, reused by
-    every Certify evaluation on the shared pool)."""
-    width = 2 * approx.d + 1
-    flat = np.arange(n_b).repeat(n_s) * width + (js + approx.d)
-    re = np.bincount(flat, weights=zs.real, minlength=n_b * width)
-    im = np.bincount(flat, weights=zs.imag, minlength=n_b * width)
-    return (re + 1j * im).reshape(n_b, width)
-
-
-def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,
-                n_s: int) -> np.ndarray:
-    """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d]."""
-    phases = np.exp(1j * (approx.phases + approx.js * x))
-    return approx.total_weight / n_s * (sums @ phases)
+    return _certify_sums(approx, _shot_sums(approx, js, zs, n_s, n_b), x, eta, n_s)
 
 
 SEARCH_PAD = 3.0  # bracket extension beyond +-pi/3, in units of delta
@@ -300,14 +312,13 @@ def invert_cdf(approx: FourierApprox, js, zs, eta: float, delta: float,
     normalization) keep the bracket invariant C(x_L) < eta <= ... < C(x_R).
     Midpoint shifts are +-(2/3) delta and the loop ends at width 2 delta.
     """
-    sums = _grouped_sums(approx, js[:n_s * n_b], zs[:n_s * n_b], n_s, n_b)
-    return _invert_sums(approx, sums, eta, delta, n_s)
+    return _invert_sums(approx, _shot_sums(approx, js, zs, n_s, n_b), eta,
+                        delta, n_s)
 
 
 def _invert_sums(approx: FourierApprox, sums: np.ndarray, eta: float,
                  delta: float, n_s: int) -> float:
     """InvertCDF on the per-batch sums S[r, j + d] of the pool."""
-    n_b = sums.shape[0]
     x_left = -math.pi / 3.0 - SEARCH_PAD * delta
     x_right = math.pi / 3.0 + SEARCH_PAD * delta
     max_iter = bracket_iterations(delta, x_right - x_left) + 2
@@ -316,9 +327,7 @@ def _invert_sums(approx: FourierApprox, sums: np.ndarray, eta: float,
         if iterations > max_iter:
             raise EstimationError("binary search failed to contract")
         x_mid = 0.5 * (x_left + x_right)
-        means = batch_means(approx, sums, x_mid, n_s)
-        c = int(np.sum(means.real >= 0.75 * eta))
-        if c > n_b / 2:
+        if _certify_sums(approx, sums, x_mid, eta, n_s) == 0:
             # evidence C(x_mid + (2/3) delta) > eta/2: crossing is left of here
             x_right = x_mid + (2.0 / 3.0) * delta
         else:
@@ -356,8 +365,7 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d)
-    js, zs = _draw_pool(approx, e_table, n_s * n_b, rng, budget, spectral.tau)
-    sums = _grouped_sums(approx, js, zs, n_s, n_b)
+    sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
     return GSEReport(
         value=x_star / spectral.tau, shots_used=n_s * n_b, budget=budget,
@@ -385,22 +393,12 @@ def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
     sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
     sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots when
     ``nsq_table`` and ``alpha`` are given)."""
-    # same values as g_estimator / g2_estimator, per-j phases from a table
-    phase = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
-    # weighted in place, block by block; each block keeps the whole-pool
-    # expression because numpy's complex product rounds differently with its
-    # operands swapped or computed in place, and this keeps every value
-    d = approx.d
-    if table.ndim == 1:
-        js, zs = _draw_pool(approx, table, n_g * k, rng, budget, tau)
-        for b in hadamard.sample_blocks(zs.size):
-            zs[b] = zs[b] * phase[js[b] + d]
-    else:
-        j1, j2, zs = _draw_pool(approx, table, n_g * k, rng, budget, tau,
-                                nsq_table=nsq_table, alpha=alpha)
-        for b in hadamard.sample_blocks(zs.size):
-            zs[b] = zs[b] * phase[j1[b] + d] * phase[j2[b] + d]
-    return median_of_means(zs, n_g, k)
+    lead = None
+    if table.ndim == 2:
+        lead = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
+    sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
+                      nsq_table=nsq_table, alpha=alpha)
+    return median_of_means(batch_means(approx, sums, x_good, k), n_g, 1)
 
 
 def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
@@ -457,6 +455,19 @@ class Denominator:
                               shots_used=self.shots + n_g * k,
                               budget=self.budget, config=cfg,
                               intermediate=dict(self.intermediate, p0o0_bar=num))
+
+    def block_ratio(self, cfg: EstimationConfig, spectral: SpectralData, phi0,
+                    block: hadamard.BlockEncoding) -> EstimateReport:
+        """:meth:`ratio` with two-time shots from the post-selected circuit of
+        ``block``, whose per-shot variance carries an alpha^2 factor."""
+        d = self.approx.d
+        report = self.ratio(
+            cfg, expectation_table_2d(spectral, phi0, block.operator, d),
+            2.0 * block.alpha ** 2 * self.approx.total_weight ** 4, spectral.tau,
+            nsq_table=block_norm_table(spectral, phi0, block.operator, d),
+            alpha=block.alpha)
+        report.intermediate["alpha"] = block.alpha
+        return report
 
 
 def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
@@ -526,15 +537,7 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     """Property pipeline for a block-encoded (possibly non-unitary) observable.
 
     Identical to the general pipeline except the two-time shots come from the
-    post-selected circuit, whose per-shot variance carries an alpha^2 factor
-    that the schedule absorbs.
+    post-selected circuit (:meth:`Denominator.block_ratio`).
     """
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
-    d = front.approx.d
-    report = front.ratio(
-        cfg, expectation_table_2d(spectral, phi0, block.operator, d),
-        2.0 * block.alpha ** 2 * front.approx.total_weight ** 4, spectral.tau,
-        nsq_table=block_norm_table(spectral, phi0, block.operator, d),
-        alpha=block.alpha)
-    report.intermediate["alpha"] = block.alpha
-    return report
+    return front.block_ratio(cfg, spectral, phi0, block)

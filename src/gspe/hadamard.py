@@ -263,14 +263,19 @@ def sample_2d(spectral, phi0, o_matrix, j: int, j2: int, rng) -> Shot:
 
 # --- block encoding ----------------------------------------------------------
 
-def embed_block(operator, alpha: float) -> BlockEncoding:
+def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
     """One-ancilla block encoding U = [[O/a, R], [R, -O/a]] with
-    R = sqrt(I - O^2/a^2), built through the eigendecomposition of O."""
+    R = sqrt(I - O^2/a^2), built through the eigendecomposition of O.
+
+    ``alpha`` defaults to max(1, ||O||_2), read off the eigenvalues of O.
+    """
     o_mat = as_matrix(operator)
     if np.linalg.norm(o_mat - o_mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(o_mat)):
         raise BlockEncodingError("block-encoded observable must be Hermitian")
     evals, evecs = np.linalg.eigh(o_mat)
     norm = float(np.abs(evals).max())
+    if alpha is None:
+        alpha = max(1.0, norm)
     if norm > alpha + 1e-12:
         raise BlockEncodingError(f"||O|| = {norm:.6g} exceeds alpha = {alpha}")
     scaled = np.clip(evals / alpha, -1.0, 1.0)
@@ -429,58 +434,43 @@ def sample_blocks(size: int):
     2 * SAMPLE_BLOCK, else SAMPLE_BLOCK elements each with the remainder
     folded into the last.
 
-    Vectorized sampling runs block by block so that a pool of millions of
-    shots allocates no full-size temporaries; drawing uniforms block by block
-    consumes the generator stream exactly as one full-size draw does.
+    Shot pools run block by block, so a pool of millions of shots allocates
+    no per-shot array of its size.  Within each block the generator stream
+    is consumed in a fixed order: J, then J' for two-time pools, then all X
+    of the block, then all Y.  A seeded pool's shots therefore depend on
+    SAMPLE_BLOCK.
     """
     bounds = [SAMPLE_BLOCK * i for i in range(max(1, size // SAMPLE_BLOCK))]
     for lo, hi in zip(bounds, bounds[1:] + [size]):
         yield slice(lo, hi)
 
 
-def _draw_parts(e: np.ndarray, rng, out, draw) -> np.ndarray:
-    """z = X + iY with X = draw(Re e, u, block) and Y = draw(Im e, u', block)
-    over the blocks of e.
-
-    Every X is drawn before any Y, so the stream matches one
-    ``rng.random(e.shape)`` per component.  ``out``, if given, must be a
-    C-contiguous array of e's shape; it receives z and is returned.  It may
-    be ``e`` itself: each component is read before it is overwritten.
-    """
-    if out is None:
-        out = np.empty(e.shape, dtype=complex)
-    elif out.shape != e.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous with the shape of the "
-                         "expectations")
-    flat, z = e.reshape(-1), out.reshape(-1)
-    for part, dest in ((flat.real, z.real), (flat.imag, z.imag)):
-        for block in sample_blocks(flat.size):
-            dest[block] = draw(part[block], rng.random(block.stop - block.start),
-                               block)
-    return out
+def _draw_xy(e: np.ndarray, rng, draw) -> np.ndarray:
+    """z = X + iY with X = draw(Re e, u) and Y = draw(Im e, u'); every X is
+    drawn before any Y."""
+    z = np.empty(e.shape, dtype=complex)
+    z.real = draw(e.real, rng.random(e.shape))
+    z.imag = draw(e.imag, rng.random(e.shape))
+    return z
 
 
-def draw_xy_pm1(expectations: np.ndarray, rng, out=None) -> np.ndarray:
-    """Vector of z = X + iY draws given exact target expectations; ``out``
-    (C-contiguous, same shape, possibly ``expectations`` itself) receives
-    them if given."""
-    def pm1(part, u, block):
+def draw_xy_pm1(expectations: np.ndarray, rng) -> np.ndarray:
+    """Vector of z = X + iY draws given exact target expectations."""
+    def pm1(part, u):
         return np.where(u < np.clip(0.5 * (1.0 + part), 0.0, 1.0), 1.0, -1.0)
 
-    return _draw_parts(np.asarray(expectations, dtype=complex), rng, out, pm1)
+    return _draw_xy(np.asarray(expectations, dtype=complex), rng, pm1)
 
 
 def draw_block_xy(expectations: np.ndarray, nsq: np.ndarray, alpha: float,
-                  rng, out=None) -> np.ndarray:
-    """Vector of z = X + iY draws for the post-selected block circuit;
-    ``out`` as for :func:`draw_xy_pm1`."""
+                  rng) -> np.ndarray:
+    """Vector of z = X + iY draws for the post-selected block circuit."""
     e = np.asarray(expectations, dtype=complex)
-    nsq = np.broadcast_to(np.asarray(nsq, dtype=float), e.shape).reshape(-1)
+    p_succ = 0.5 * (1.0 + np.asarray(nsq, dtype=float) / alpha ** 2)
 
-    def three(part, u, block):
-        p_succ = 0.5 * (1.0 + nsq[block] / alpha ** 2)
+    def three(part, u):
         plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
         minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
         return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
 
-    return _draw_parts(e, rng, out, three)
+    return _draw_xy(e, rng, three)

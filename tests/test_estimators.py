@@ -17,7 +17,7 @@ from gspe.estimators import (EstimationError, PreconditionError,
                              weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
 from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1,
-                           outcome_distribution_1d)
+                           outcome_distribution_1d, sample_blocks)
 from gspe.spectral import mixed_with_noise, overlaps
 
 from conftest import random_hermitian, random_unitary
@@ -233,39 +233,74 @@ def test_g2_empirical_variance(small_approx):
     assert var <= 2.0 * a.total_weight ** 4
 
 
-@pytest.mark.parametrize("kind", ["one-time", "block"])
-def test_weighted_stage_matches_unblocked_pool(small_approx, kind):
-    """The pool is drawn and weighted block by block; the estimate and the
-    evolution budget equal, bit for bit, those of the full-size formulas."""
+def _replay_pool(approx, table, n, rng, nsq=None, alpha=None):
+    """Per-shot arrays (J, [J',] Z) of a pool drawn as the pipelines draw it,
+    with the public samplers: per block, J (and J'), then all X, then all Y."""
+    d = approx.d
+    parts = []
+    for block in sample_blocks(n):
+        index = [sample_j_batch(approx, block.stop - block.start, rng)
+                 for _ in range(table.ndim)]
+        e = table[tuple(js + d for js in index)]
+        zs = (draw_xy_pm1(e, rng) if nsq is None
+              else draw_block_xy(e, nsq[index[-1] + d], alpha, rng))
+        parts.append((*index, zs))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+@pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
+def test_weighted_stage_replays_public_draws(small_approx, kind):
+    """The weighted stage keeps only per-group sums of its pool; its estimate
+    and budget equal the per-shot formulas on the same draws, with groups
+    that straddle the sampling blocks."""
     spectral = _spectral_at([-0.4, 0.1])
     phi0 = _state_with_weights(spectral, [0.5, 0.5])
     a, d, tau, x = small_approx, small_approx.d, spectral.tau, 0.3
-    n_g, k = 3, SAMPLE_BLOCK - 7
-    n = n_g * k
-    o_mat = random_hermitian(np.random.default_rng(3), spectral.dim, norm=0.9)
-    alpha = 1.2
-    phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
-    ref = np.random.default_rng(41)
+    n_g, k = 3, SAMPLE_BLOCK + 7
+    gen = np.random.default_rng(3)
+    extra = {}
     if kind == "one-time":
-        table, extra = expectation_table_1d(spectral, phi0, d), {}
-        js = sample_j_batch(a, n, ref)
-        zs = draw_xy_pm1(table[js + d], ref)
-        values, times = zs * phase[js + d], np.abs(js) * tau
+        table = expectation_table_1d(spectral, phi0, d)
+    elif kind == "two-time":
+        table = expectation_table_2d(spectral, phi0,
+                                     random_unitary(gen, spectral.dim), d)
     else:
+        o_mat = random_hermitian(gen, spectral.dim, norm=0.9)
         table = expectation_table_2d(spectral, phi0, o_mat, d)
-        nsq = block_norm_table(spectral, phi0, o_mat, d)
-        extra = {"nsq_table": nsq, "alpha": alpha}
-        j1 = sample_j_batch(a, n, ref)
-        j2 = sample_j_batch(a, n, ref)
-        zs = draw_block_xy(table[j1 + d, j2 + d], nsq[j2 + d], alpha, ref)
-        values = zs * phase[j1 + d] * phase[j2 + d]
-        times = (np.abs(j1) + np.abs(j2)) * tau
+        extra = {"nsq_table": block_norm_table(spectral, phi0, o_mat, d),
+                 "alpha": 1.2}
+    *index, zs = _replay_pool(a, table, n_g * k, np.random.default_rng(41),
+                              extra.get("nsq_table"), extra.get("alpha"))
+    phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
+    values = zs * np.prod([phase[js + d] for js in index], axis=0)
+    times = sum(np.abs(js) for js in index) * tau
     budget = EvolutionBudget()
     got = weighted_stage(a, table, x, n_g, k, np.random.default_rng(41),
                          budget, tau, **extra)
-    assert got == median_of_means(values, n_g, k)
-    assert (budget.max_time, budget.total_time) == (float(times.max()),
-                                                    float(times.sum()))
+    assert abs(got - median_of_means(values, n_g, k)) <= 1e-12
+    assert budget.max_time == float(times.max())
+    assert abs(budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
+
+
+def test_gse_sums_replay_public_draws(small_approx):
+    """The GSE pool's per-batch sums equal those of the per-shot arrays drawn
+    by the public samplers, with batches that straddle the sampling blocks."""
+    spectral = _spectral_at([-0.4, 0.1])
+    phi0 = _state_with_weights(spectral, [0.5, 0.5])
+    n_s, n_b = SAMPLE_BLOCK // 2 + 3, 7
+    cfg = EstimationConfig(epsilon=small_approx.delta, eta=8 * small_approx.epsilon,
+                           nu=0.1, n_s=n_s, n_b=n_b)
+    gse = estimate_gse(spectral, phi0, cfg, rng=np.random.default_rng(41))
+    a, d = gse.approx, gse.approx.d
+    js, zs = _replay_pool(a, expectation_table_1d(spectral, phi0, d), n_s * n_b,
+                          np.random.default_rng(41))
+    flat = np.arange(n_b).repeat(n_s) * (2 * d + 1) + (js + d)
+    want = (np.bincount(flat, weights=zs.real, minlength=n_b * (2 * d + 1))
+            + 1j * np.bincount(flat, weights=zs.imag, minlength=n_b * (2 * d + 1)))
+    assert np.abs(gse.sums - want.reshape(n_b, 2 * d + 1)).max() <= 1e-12
+    times = np.abs(js) * spectral.tau
+    assert gse.budget.max_time == float(times.max())
+    assert abs(gse.budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
 
 
 # --- aggregation -----------------------------------------------------------------
