@@ -279,8 +279,8 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
               (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
     to_estimate = [c for c in combos if c[1] != c[2]]
     nu_each = cfg.nu / (3.0 * max(1, len(to_estimate)))
-    n_g, k = mom_schedule(2.0 * front.approx.total_weight ** 4, cfg.eta,
-                          cfg.epsilon / 4.0, nu_each, cfg.n_g, cfg.k)
+    n_g, k = mom_schedule(front.two_time_bound(), cfg.eta, cfg.epsilon / 4.0,
+                          nu_each, cfg.n_g, cfg.k)
     total = 0.0 + 0.0j
     shots = front.shots
     for stage, (weight, a_idx, b_idx) in enumerate(combos):

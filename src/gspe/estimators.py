@@ -442,6 +442,11 @@ class Denominator:
     shots: int
     intermediate: dict
 
+    def two_time_bound(self, alpha: float = 1.0) -> float:
+        """Second-moment bound 2 alpha^2 W^4 of one two-time shot; alpha = 1
+        for a unitary observable, the block-encoding scale otherwise."""
+        return 2.0 * alpha ** 2 * self.approx.total_weight ** 4
+
     def ratio(self, cfg: EstimationConfig, table: np.ndarray, var_bound: float,
               tau: float, *, nsq_table=None, alpha=None) -> EstimateReport:
         """Weighted stage on ``table`` at failure probability nu, divided by
@@ -463,7 +468,7 @@ class Denominator:
         d = self.approx.d
         report = self.ratio(
             cfg, expectation_table_2d(spectral, phi0, block.operator, d),
-            2.0 * block.alpha ** 2 * self.approx.total_weight ** 4, spectral.tau,
+            self.two_time_bound(block.alpha), spectral.tau,
             nsq_table=block_norm_table(spectral, phi0, block.operator, d),
             alpha=block.alpha)
         report.intermediate["alpha"] = block.alpha
@@ -527,8 +532,7 @@ def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
     o_mat = hadamard.require_unitary(hadamard.as_matrix(o_operator))
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
     table = expectation_table_2d(spectral, phi0, o_mat, front.approx.d)
-    return front.ratio(cfg, table, 2.0 * front.approx.total_weight ** 4,
-                       spectral.tau)
+    return front.ratio(cfg, table, front.two_time_bound(), spectral.tau)
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,

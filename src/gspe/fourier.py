@@ -36,17 +36,19 @@ def heaviside(x):
     return np.where(wrapped < math.pi, 1, 0)
 
 
-def heaviside_fourier_coeff(j: int) -> complex:
+def heaviside_fourier_coeff(j: int | np.ndarray) -> complex | np.ndarray:
     """Plain-convention coefficient h_j of the periodic Heaviside function:
     h_0 = 1/2, h_j = -i/(pi*j) for odd j, 0 for even nonzero j.
 
     (In the sqrt(2pi)-normalized convention this is sqrt(2pi) * h_j.)
+    An integer ``j`` gives a complex; an integer array gives a complex array
+    of its shape.
     """
-    if j == 0:
-        return 0.5 + 0.0j
-    if j % 2 == 0:
-        return 0.0 + 0.0j
-    return -1j / (math.pi * j)
+    j = np.asarray(j)
+    odd = j % 2 == 1
+    h = np.where(odd, -1j / (math.pi * np.where(odd, j, 1)), 0.0 + 0.0j)
+    h = np.where(j == 0, 0.5 + 0.0j, h)
+    return complex(h) if h.ndim == 0 else h
 
 
 def _kernel_argument(x, delta: float):
@@ -75,20 +77,28 @@ def _check_mollifier_delta(delta: float) -> None:
             "(tan(delta/2) must not exceed 1 - 1/sqrt(2))")
 
 
+def _exact_grid_size(d: int) -> int:
+    """Size of a uniform grid on which a degree-d trigonometric polynomial is
+    sampled without aliasing: a power of two above 4d, so comfortably > 2d."""
+    return 1 << (4 * d).bit_length()
+
+
 def _kernel_samples(d: int, delta: float, n_grid: int) -> np.ndarray:
     x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
     return chebyshev_t(d, _kernel_argument(x, delta))
 
 
-def mollifier_norm(d: int, delta: float, n_grid: int = 2 ** 16) -> float:
+def mollifier_norm(d: int, delta: float, n_grid: int | None = None) -> float:
     """Normalization integral of the Chebyshev kernel over one period.
 
     The kernel is a trigonometric polynomial of degree d, so the uniform-grid
-    rule is exact (not just spectrally accurate) once ``n_grid > 2d``.
+    rule is exact (not just spectrally accurate) once ``n_grid > 2d``; a
+    missing or coarser ``n_grid`` is replaced by the construction's grid,
+    the first power of two above 4d.
     """
     _check_mollifier_delta(delta)
-    if n_grid <= 2 * d:
-        n_grid = 1 << max(16, (4 * d).bit_length())
+    if n_grid is None or n_grid <= 2 * d:
+        n_grid = _exact_grid_size(d)
     return 2.0 * math.pi * float(_kernel_samples(d, delta, n_grid).mean())
 
 
@@ -164,15 +174,14 @@ def fourier_coefficients_at(d: int, delta: float, epsilon: float) -> np.ndarray:
     _check_mollifier_delta(delta)
     if not 0.0 < epsilon < 1.0:
         raise FourierConstructionError(f"epsilon must be in (0, 1), got {epsilon}")
-    n_grid = 1 << max(16, (4 * d).bit_length())
+    n_grid = _exact_grid_size(d)
     samples = _kernel_samples(d, delta, n_grid)
     norm = 2.0 * math.pi * float(samples.mean())
     spectrum = np.fft.fft(samples) / n_grid
     js = np.arange(-d, d + 1)
     # grid starts at -pi: DFT bin j picks up a (-1)^j twist
     m = spectrum[np.mod(js, n_grid)] * (-1.0) ** js / norm
-    h = np.array([heaviside_fourier_coeff(int(j)) for j in js])
-    coeffs = 2.0 * math.pi * m * h
+    coeffs = 2.0 * math.pi * m * heaviside_fourier_coeff(js)
     eps_int = 0.5 * epsilon
     coeffs[d] = coeffs[d] + eps_int / 4.0
     coeffs /= 1.0 + 1.25 * eps_int
@@ -195,23 +204,33 @@ def evaluate_coefficients(coeffs: np.ndarray, x) -> np.ndarray:
 
 
 def _synthesize_on_circle(coeffs: np.ndarray, n_grid: int):
-    """Values of F on the uniform grid x_k = -pi + 2pi k / n, via inverse FFT."""
+    """Values of F on the uniform grid x_k = -pi + 2pi k / n, by a real inverse
+    FFT of c_0..c_d; like :func:`evaluate_coefficients` it assumes conjugate
+    symmetry."""
     d = (coeffs.size - 1) // 2
     if n_grid <= 2 * d:
         raise FourierConstructionError("synthesis grid too coarse for degree")
-    js = np.arange(-d, d + 1)
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[np.mod(js, n_grid)] = coeffs * (-1.0) ** js
-    values = np.fft.ifft(padded) * n_grid
+    # grid starts at -pi: coefficient j picks up a (-1)^j twist
+    twisted = coeffs[d:] * (-1.0) ** np.arange(d + 1)
+    values = np.fft.irfft(twisted, n_grid) * n_grid
     x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    return x, values.real
+    return x, values
+
+
+def _end_values(coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """F at delta, pi - delta, -delta and -pi + delta (conjugate symmetry
+    assumed), from one 4 x d phase product."""
+    d = (coeffs.size - 1) // 2
+    x = np.array([delta, math.pi - delta, -delta, -math.pi + delta])
+    phases = np.exp(1j * np.outer(x, np.arange(1, d + 1)))
+    return coeffs[d].real + 2.0 * (phases @ coeffs[d + 1:]).real
 
 
 def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float,
                            n_grid: int = 2 ** 16) -> bool:
     d = (coeffs.size - 1) // 2
     if n_grid <= 2 * d:
-        n_grid = 1 << ((4 * d).bit_length())
+        n_grid = _exact_grid_size(d)
     x, values = _synthesize_on_circle(coeffs, n_grid)
     if values.min() < -RANGE_TOL or values.max() > 1.0 + RANGE_TOL:
         return False
@@ -223,8 +242,7 @@ def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float,
         return False
     if np.abs(values[trough]).max() > budget:
         return False
-    ends = evaluate_coefficients(coeffs, np.array(
-        [delta, math.pi - delta, -delta, -math.pi + delta]))
+    ends = _end_values(coeffs, delta)
     return (abs(ends[0] - 1.0) <= budget and abs(ends[1] - 1.0) <= budget
             and abs(ends[2]) <= budget and abs(ends[3]) <= budget)
 

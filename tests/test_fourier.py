@@ -1,15 +1,24 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gspe.applications import KERNEL_TOL, build_gap_amplified
 from gspe.fourier import (COEFF_DECAY_CONSTANT, FourierConstructionError,
+                          _end_values, _synthesize_on_circle,
                           build_fourier_approx, degree_for,
                           evaluate_coefficients, evaluate_F,
                           fourier_coefficients_at, heaviside,
                           heaviside_fourier_coeff, mollifier, mollifier_norm)
+from gspe.pauli import build_operator
+from gspe.serialization import (load_json, parse_linear_system,
+                                parse_operator, parse_synthetic)
+from gspe.spectral import diagonalize
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_heaviside_branch_values():
@@ -157,3 +166,101 @@ def test_acdf_sandwich_desk_scale(rng):
     upper = cdf(grid + a.delta) + a.epsilon
     assert np.all(acdf >= lower - 1e-9)
     assert np.all(acdf <= upper + 1e-9)
+
+
+def test_heaviside_coefficients_array_form():
+    js = np.arange(-41, 42)
+    h = heaviside_fourier_coeff(js)
+    assert h.shape == js.shape and h.dtype == complex
+    assert np.array_equal(h, [heaviside_fourier_coeff(int(j)) for j in js])
+    assert type(heaviside_fourier_coeff(3)) is complex
+
+
+@pytest.mark.parametrize("d", [8, 49, 196, 530, 1001])
+def test_coefficients_match_fine_kernel_grid(d):
+    """The kernel is a degree-d trigonometric polynomial, so its spectrum on
+    the construction's grid equals the spectrum on a fixed 2^17-point grid."""
+    delta, epsilon, n_grid = 0.05, 0.01, 2 ** 17
+    x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    js = np.arange(-d, d + 1)
+    # grid starts at -pi: DFT bin j picks up a (-1)^j twist
+    m = (np.fft.fft(mollifier(d, delta, x))[np.mod(js, n_grid)]
+         * (-1.0) ** js / n_grid)
+    h = np.array([heaviside_fourier_coeff(int(j)) for j in js])
+    reference = 2.0 * math.pi * m * h
+    eps_int = 0.5 * epsilon
+    reference[d] += eps_int / 4.0
+    reference /= 1.0 + 1.25 * eps_int
+    coeffs = fourier_coefficients_at(d, delta, epsilon)
+    assert np.abs(coeffs - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("d", [49, 530])
+def test_synthesis_matches_direct_evaluation(d):
+    coeffs = fourier_coefficients_at(d, 0.05, 0.01)
+    x, values = _synthesize_on_circle(coeffs, 2 ** 16)
+    assert np.abs(values - evaluate_coefficients(coeffs, x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [49, 530])
+def test_end_values_match_direct_evaluation(d):
+    delta = 0.05
+    coeffs = fourier_coefficients_at(d, delta, 0.01)
+    ends = evaluate_coefficients(coeffs, np.array(
+        [delta, math.pi - delta, -delta, -math.pi + delta]))
+    assert np.abs(_end_values(coeffs, delta) - ends).max() <= 1e-12
+
+
+def _tfim3_gse():
+    cfg = load_json(str(CONFIGS / "tfim3-gse.json"))
+    spectral = diagonalize(parse_operator(cfg["instance"], "instance"))
+    # GSE approximant: delta = tau * epsilon, budget eta / 8
+    return [(spectral.tau * cfg["epsilon"], cfg["eta"] / 8.0, 530)]
+
+
+def _qlss_kappa4():
+    cfg = load_json(str(CONFIGS / "qlss-kappa4.json"))
+    inst = parse_linear_system(cfg["instance"])
+    spectral = diagonalize(build_gap_amplified(inst.a, inst.b, 1.0),
+                           require_unique_ground_state=False)
+    levels = np.abs(spectral.eigenvalues)
+    gamma = levels[levels > KERNEL_TOL].min()
+    eta = 0.8 * cfg["qlss"]["overlap"]
+    # property approximant: delta = tau * gamma / 5, budget eta * epsilon / 32
+    return [(spectral.tau * gamma / 5.0, eta * cfg["epsilon"] / 32.0, 166)]
+
+
+def _sweep_gamma():
+    cfg = load_json(str(CONFIGS / "sweep-gamma.json"))
+    eta, epsilon = cfg["eta"], cfg["epsilon"]
+    pairs = []
+    for gamma, d_gse, d_prop in zip(cfg["sweep"]["gamma"], (180, 90, 46),
+                                    (196, 98, 49)):
+        tau = diagonalize(parse_synthetic(cfg["instance"], gamma)[0]).tau
+        # GSE at accuracy gamma / 8, then the property approximant
+        pairs += [(tau * gamma / 8.0, eta / 8.0, d_gse),
+                  (tau * gamma / 5.0, eta * epsilon / 32.0, d_prop)]
+    return pairs
+
+
+def _ensemble_10q():
+    n, eta, epsilon = 10, 0.4, 0.1
+    def word(letters):
+        return "".join(letters.get(q, "I") for q in range(n))
+    terms = ([(-0.5, word({q: "Z", q + 1: "Z"})) for q in range(n - 1)]
+             + [(-1.0, word({q: "X"})) for q in range(n)]
+             + [(-0.1, word({0: "Z"}))])
+    spectral = diagonalize(build_operator(terms))
+    gamma = spectral.gap
+    return [(spectral.tau * gamma / 8.0, eta / 8.0, 342),
+            (spectral.tau * gamma / 5.0, eta * epsilon / 32.0, 386)]
+
+
+@pytest.mark.parametrize("workload", [_tfim3_gse, _qlss_kappa4, _sweep_gamma,
+                                      _ensemble_10q],
+                         ids=["tfim3-gse", "qlss-kappa4", "sweep-gamma",
+                              "ensemble-10q"])
+def test_degree_for_pins_benchmark_degrees(workload):
+    """The degrees the benchmark workloads' records report."""
+    for delta, epsilon, expected in workload():
+        assert degree_for(delta, epsilon) == expected
