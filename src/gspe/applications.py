@@ -283,13 +283,16 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
                           nu_each, cfg.n_g, cfg.k)
     total = 0.0 + 0.0j
     shots = front.shots
+    d = front.approx.d
+    # one Psi for every product; each table is sampled before the next is built
+    states = estimators.table_states(spectral, phi0, d, phases=front.take_phases())
     for stage, (weight, a_idx, b_idx) in enumerate(combos):
         if a_idx == b_idx:
             total += weight  # gamma_a^2 = identity, expectation exactly 1
             continue
         phase, string = majorana_product(a_idx, b_idx, n_modes)
-        e_table = estimators.expectation_table_2d(spectral, phi0, string,
-                                                  front.approx.d)
+        e_table = estimators.expectation_table_2d(spectral, phi0, string, d,
+                                                  states=states)
         num = estimators.weighted_stage(
             front.approx, e_table, front.x_good, n_g, k,
             stage_rng(cfg.seed, "weighted", index=stage), front.budget,

@@ -22,7 +22,7 @@ import numpy as np
 from . import hadamard
 from .fourier import FourierApprox, build_fourier_approx
 from .hadamard import (block_norm_table, expectation_table_1d,
-                       expectation_table_2d, expectation_table_O)
+                       expectation_table_2d, expectation_table_O, table_states)
 from .seeding import stage_rng
 from .spectral import SpectralData, as_state
 
@@ -347,24 +347,31 @@ class GSEReport(EstimateReport):
     sums: np.ndarray
 
 
+def _gse_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
+    """Approximant of the GSE stage: delta = tau * epsilon, budget eta/8."""
+    return build_fourier_approx(spectral.tau * cfg.epsilon, cfg.eta / 8.0)
+
+
 def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
-                 nu: float | None = None, rng=None) -> GSEReport:
+                 nu: float | None = None, rng=None,
+                 approx: FourierApprox | None = None, phases=None) -> GSEReport:
     """EstimateGSE, the GSE stage: value = x*/tau.
 
     The Heaviside approximant is built at delta = tau * epsilon with
     approximation budget eta/8, the shared (J, Z) pool is drawn once and
     reduced to its per-batch sums, and the CDF is inverted by the Certify
-    binary search on them.
+    binary search on them.  ``phases`` is the estimate's
+    :func:`hadamard.phase_block`, when it has one.
     """
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     delta = spectral.tau * cfg.epsilon
-    approx = build_fourier_approx(delta, cfg.eta / 8.0)
+    approx = approx if approx is not None else _gse_approx(spectral, cfg)
     n_s, n_b = certify_schedule(approx.total_weight, cfg.eta, nu, delta,
                                 cfg.n_s, cfg.n_b)
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
-    e_table = expectation_table_1d(spectral, phi0, approx.d)
+    e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
     sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
     return GSEReport(
@@ -417,22 +424,27 @@ def _overlap_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float):
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
                      nu: float | None = None, rng=None,
-                     budget: EvolutionBudget | None = None) -> float:
-    """The overlap stage: median-of-means estimate of p0 = C(x_good)."""
+                     budget: EvolutionBudget | None = None, phases=None) -> float:
+    """The overlap stage: median-of-means estimate of p0 = C(x_good);
+    ``phases`` as in :func:`estimate_gse`."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
     n_g, k = _overlap_schedule(approx, cfg, nu)
     rng = rng if rng is not None else stage_rng(cfg.seed, "overlap")
     budget = budget if budget is not None else EvolutionBudget()
-    e_table = expectation_table_1d(spectral, phi0, approx.d)
+    e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
     return weighted_stage(approx, e_table, x_good, n_g, k, rng, budget,
                           spectral.tau).real
 
 
 @dataclass
 class Denominator:
-    """What the stages before the weighted one hand it, and what they spent."""
+    """What the stages before the weighted one hand it, and what they spent.
+
+    ``phases`` is the estimate's phase block (:func:`hadamard.phase_block`,
+    degree at least ``approx.d``) until :meth:`take_phases` hands it on.
+    """
 
     x_good: float
     approx: FourierApprox
@@ -441,6 +453,13 @@ class Denominator:
     budget: EvolutionBudget
     shots: int
     intermediate: dict
+    phases: np.ndarray | None = field(default=None, repr=False)
+
+    def take_phases(self) -> np.ndarray | None:
+        """The phase block, handed on once: dropping this reference frees it
+        as soon as the caller's tables are built."""
+        phases, self.phases = self.phases, None
+        return phases
 
     def two_time_bound(self, alpha: float = 1.0) -> float:
         """Second-moment bound 2 alpha^2 W^4 of one two-time shot; alpha = 1
@@ -465,36 +484,54 @@ class Denominator:
                     block: hadamard.BlockEncoding) -> EstimateReport:
         """:meth:`ratio` with two-time shots from the post-selected circuit of
         ``block``, whose per-shot variance carries an alpha^2 factor."""
-        d = self.approx.d
-        report = self.ratio(
-            cfg, expectation_table_2d(spectral, phi0, block.operator, d),
-            self.two_time_bound(block.alpha), spectral.tau,
-            nsq_table=block_norm_table(spectral, phi0, block.operator, d),
-            alpha=block.alpha)
+        table, nsq = _block_tables(spectral, phi0, block.operator,
+                                   self.approx.d, self.take_phases())
+        report = self.ratio(cfg, table, self.two_time_bound(block.alpha),
+                            spectral.tau, nsq_table=nsq, alpha=block.alpha)
         report.intermediate["alpha"] = block.alpha
         return report
+
+
+def _block_tables(spectral: SpectralData, phi0, operator, d: int, phases):
+    """The two-time table and the norm table of ``operator`` from one Psi and
+    one O Psi, both freed on return."""
+    obs = hadamard.observable(operator, spectral.dim)
+    states = table_states(spectral, phi0, d, phases=phases)
+    moved = obs.apply(states)
+    return (expectation_table_2d(spectral, phi0, obs, d, states=states, moved=moved),
+            block_norm_table(spectral, phi0, obs, d, moved=moved))
 
 
 def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                          nu: float, x_good: float | None = None) -> Denominator:
     """EstimateGSE at accuracy gamma/8 and the good point (both skipped when
     ``x_good`` is given), then the overlap p0_bar = C(x_good), which must come
-    out positive; each stage at failure probability nu."""
+    out positive; each stage at failure probability nu.
+
+    Both approximants are built first, so one phase block at the larger
+    degree serves every table of the estimate; the Denominator hands it on.
+    """
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
     budget, shots, inter = EvolutionBudget(), 0, {"gamma": gamma}
+    approx = _property_approx(spectral, cfg)
     if x_good is None:
         eps_gse = gamma / 8.0
-        gse = estimate_gse(spectral, phi0, replace(cfg, epsilon=eps_gse, gamma=gamma),
-                           nu=nu, rng=stage_rng(cfg.seed, "gse"))
+        gse_cfg = replace(cfg, epsilon=eps_gse, gamma=gamma)
+        gse_approx = _gse_approx(spectral, gse_cfg)
+        phases = hadamard.phase_block(spectral, max(approx.d, gse_approx.d))
+        gse = estimate_gse(spectral, phi0, gse_cfg, nu=nu,
+                           rng=stage_rng(cfg.seed, "gse"), approx=gse_approx,
+                           phases=phases)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
                             epsilon=eps_gse)
         budget, shots = gse.budget, gse.shots_used
         inter.update(gse.intermediate)
-    approx = _property_approx(spectral, cfg)
+    else:
+        phases = hadamard.phase_block(spectral, approx.d)
     p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
-                              budget=budget)
+                              budget=budget, phases=phases)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
     n_g, k = _overlap_schedule(approx, cfg, nu)
@@ -502,7 +539,8 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
     return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, nu=nu,
-                       budget=budget, shots=shots + n_g * k, intermediate=inter)
+                       budget=budget, shots=shots + n_g * k, intermediate=inter,
+                       phases=phases)
 
 
 # --- end-to-end pipelines -----------------------------------------------------
@@ -512,16 +550,24 @@ def _dense_hamiltonian(spectral: SpectralData) -> np.ndarray:
     return (v * spectral.eigenvalues) @ v.conj().T
 
 
+def _unitary_observable(o_operator, dim: int) -> hadamard.Observable:
+    """O checked unitary, then checked to act on the instance, before any
+    shot is drawn; its signed-permutation form is found here, once."""
+    obs = hadamard.require_unitary(hadamard.observable(o_operator))
+    return hadamard.observable(obs, dim)
+
+
 def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
                                 cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a unitary observable commuting with H."""
-    o_mat = hadamard.require_unitary(hadamard.as_matrix(o_operator))
+    obs = _unitary_observable(o_operator, spectral.dim)
     h_mat = _dense_hamiltonian(spectral)
-    comm = np.linalg.norm(h_mat @ o_mat - o_mat @ h_mat)
+    comm = np.linalg.norm(obs.commutator(h_mat))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(h_mat)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
-    table = expectation_table_O(spectral, phi0, o_mat, front.approx.d)
+    table = expectation_table_O(spectral, phi0, obs, front.approx.d,
+                                phases=front.take_phases())
     return front.ratio(cfg, table, 2.0 * front.approx.total_weight ** 2,
                        spectral.tau)
 
@@ -529,9 +575,13 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
                             cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a general unitary observable (two-time circuit)."""
-    o_mat = hadamard.require_unitary(hadamard.as_matrix(o_operator))
+    obs = _unitary_observable(o_operator, spectral.dim)
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
-    table = expectation_table_2d(spectral, phi0, o_mat, front.approx.d)
+    d = front.approx.d
+    # Psi is a temporary of the call: freed, with the phase block, before sampling
+    table = expectation_table_2d(
+        spectral, phi0, obs, d,
+        states=table_states(spectral, phi0, d, phases=front.take_phases()))
     return front.ratio(cfg, table, front.two_time_bound(), spectral.tau)
 
 
@@ -543,5 +593,6 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     Identical to the general pipeline except the two-time shots come from the
     post-selected circuit (:meth:`Denominator.block_ratio`).
     """
+    hadamard.as_matrix(block.operator, spectral.dim)  # shape, before any shot
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
     return front.block_ratio(cfg, spectral, phi0, block)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralData, as_state, evolve, overlaps
+from .spectral import (DimensionMismatchError, SpectralData, as_state, evolve,
+                       overlaps)
 
 UNITARY_TOL = 1e-10
 
@@ -61,22 +62,79 @@ class BlockEncoding:
 
 
 def as_matrix(op, dim: int | None = None) -> np.ndarray:
-    """Dense complex matrix of an operator: anything with a ``matrix()``
-    method (Pauli strings and operators) or an array-like."""
-    mat = np.asarray(op.matrix() if hasattr(op, "matrix") else op, dtype=complex)
+    """Dense complex matrix of an operator: an :class:`Observable`, anything
+    with a ``matrix()`` method (Pauli strings and operators) or an array-like."""
+    if isinstance(op, Observable):
+        mat = op.matrix
+    else:
+        mat = np.asarray(op.matrix() if hasattr(op, "matrix") else op, dtype=complex)
     if dim is not None and mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape}, expected {(dim, dim)}")
+        raise DimensionMismatchError(f"operator shape {mat.shape}, expected {(dim, dim)}")
     return mat
 
 
-def _unitarity_deviation(mat: np.ndarray) -> float:
+@dataclass(frozen=True, eq=False)
+class Observable:
+    """An operator matrix, with its signed-permutation form when it has one.
+
+    A square matrix with exactly one nonzero in every row and every column
+    (every Pauli string and Majorana product) is a signed permutation: row r
+    holds ``values[r]`` at column ``columns[r]`` and nothing else.  Then
+    U^H U is diagonal and O Psi is a row gather and scale; every other matrix
+    keeps the dense products.  :func:`observable` reads the form off the
+    nonzero pattern.
+    """
+
+    matrix: np.ndarray
+    columns: np.ndarray | None = None
+    values: np.ndarray | None = None
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """O @ states for a block of state columns."""
+        if self.columns is None:
+            return self.matrix @ states
+        moved = states[self.columns]
+        moved *= self.values[:, None]
+        return moved
+
+    def commutator(self, h_mat: np.ndarray) -> np.ndarray:
+        """H O - O H."""
+        if self.columns is None:
+            return h_mat @ self.matrix - self.matrix @ h_mat
+        h_o = np.empty_like(h_mat)  # column columns[r] of H O is values[r] H[:, r]
+        h_o[:, self.columns] = h_mat * self.values
+        return h_o - self.apply(h_mat)
+
+
+def observable(op, dim: int | None = None) -> Observable:
+    """``op`` (see :func:`as_matrix`) as an :class:`Observable`, its
+    signed-permutation form found once; ``dim`` checks its shape."""
+    mat = as_matrix(op, dim)
+    if isinstance(op, Observable):
+        return op
+    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        nonzero = mat != 0
+        if (np.count_nonzero(nonzero, axis=1) == 1).all():
+            columns = nonzero.argmax(axis=1)
+            if (np.bincount(columns, minlength=mat.shape[1]) == 1).all():
+                return Observable(mat, columns, mat[np.arange(mat.shape[0]), columns])
+    return Observable(mat)
+
+
+def _unitarity_deviation(obs: Observable) -> float:
     """||U^H U - I||_2 where it exceeds UNITARY_TOL; at or below it, possibly
     an upper bound instead.
 
-    The O(dim^2) bound sqrt(||G||_1 ||G||_inf) on the Gram deviation G settles
+    For a signed permutation U^H U is diagonal, holding |m|^2 for the one
+    nonzero m of each column, so the norm is max | |m|^2 - 1 |.  Otherwise
+    the O(dim^2) bound sqrt(||G||_1 ||G||_inf) on the Gram deviation G settles
     every unitary input; only a bound above the tolerance pays for the exact
     spectral norm, max |eigvalsh(G)|, as G is Hermitian.
     """
+    if obs.columns is not None:
+        values = obs.values
+        return float(np.abs(values.real ** 2 + values.imag ** 2 - 1.0).max())
+    mat = obs.matrix
     gram = mat.conj().T @ mat
     gram[np.diag_indices_from(gram)] -= 1.0
     mags = np.abs(gram)
@@ -86,11 +144,17 @@ def _unitarity_deviation(mat: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(gram)).max())
 
 
-def require_unitary(mat: np.ndarray) -> np.ndarray:
-    dev = _unitarity_deviation(mat)
+def require_unitary(op):
+    """``op`` itself (an :class:`Observable` or anything :func:`as_matrix`
+    takes) if its matrix is square and unitary; NotUnitaryError otherwise."""
+    obs = observable(op)
+    shape = obs.matrix.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NotUnitaryError(f"operator of shape {shape} is not square")
+    dev = _unitarity_deviation(obs)
     if dev > UNITARY_TOL:
         raise NotUnitaryError(f"operator deviates from unitarity by {dev:.3e}")
-    return mat
+    return op
 
 
 # --- exact moments: each formula once, over a vector of indices j (the tables
@@ -101,9 +165,25 @@ def _phases(eigenvalues: np.ndarray, times) -> np.ndarray:
     return np.exp(-1j * np.outer(times, eigenvalues))
 
 
-def _one_time(spectral: SpectralData, weights: np.ndarray, js) -> np.ndarray:
-    """sum_k w_k e^{-i j tau lambda_k} for each j."""
-    return _phases(spectral.scaled_eigenvalues, js) @ weights
+def phase_block(spectral: SpectralData, d: int) -> np.ndarray:
+    """Row j + d holds e^{-i j tau lambda_k} for j = -d..d.
+
+    Every table up to degree d reads its middle rows, so an estimate builds
+    one block, at the largest of its degrees, and passes it to each table as
+    ``phases``; the tables come out bit-identical to stand-alone ones.
+    """
+    return _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1))
+
+
+def _phase_rows(spectral: SpectralData, d: int, phases) -> np.ndarray:
+    """Rows j = -d..d of ``phases`` (a :func:`phase_block` of degree at
+    least d), or a fresh block when ``phases`` is None."""
+    if phases is None:
+        return phase_block(spectral, d)
+    mid = phases.shape[0] // 2
+    if not 0 <= d <= mid:
+        raise ValueError(f"phase block of degree {mid} cannot serve degree {d}")
+    return phases[mid - d:mid + d + 1]
 
 
 def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
@@ -115,71 +195,81 @@ def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
     return b.conj() * a
 
 
-def _evolved_states(spectral: SpectralData, phi0, eigenvalues, times) -> np.ndarray:
-    """Column c holds e^{-i t_c H} phi0, with the spectrum of H given as
-    ``eigenvalues``: scaled for index times j, unscaled for physical times."""
+def _evolved_states(spectral: SpectralData, phi0, phases: np.ndarray) -> np.ndarray:
+    """Column c holds e^{-i t_c H} phi0 for the phase rows e^{-i t_c lambda_k}."""
     a = spectral.to_eigenbasis(phi0)
-    return spectral.eigenvectors @ (_phases(eigenvalues, times) * a[None, :]).T
+    return spectral.eigenvectors @ (phases * a[None, :]).T
 
 
-def _two_time(o_mat: np.ndarray, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """M[r, c] = <bra_r| O |ket_c> for state columns; with bra_r =
-    e^{i s_r H} phi0 and ket_c = e^{-i t_c H} phi0 this is
-    <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>."""
-    return bras.conj().T @ (o_mat @ kets)
+def _two_time(bras: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """M[r, c] = <bra_r| O |ket_c> from the bra columns and the columns
+    O ket_c; with bra_r = e^{i s_r H} phi0 and ket_c = e^{-i t_c H} phi0 this
+    is <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>."""
+    return bras.conj().T @ moved
 
 
-def _table_states(spectral: SpectralData, phi0, d: int) -> np.ndarray:
-    """Column j + d holds psi_j = e^{-i j tau H} phi0 for j = -d..d."""
-    return _evolved_states(spectral, phi0, spectral.scaled_eigenvalues,
-                           np.arange(-d, d + 1))
+def table_states(spectral: SpectralData, phi0, d: int, *, phases=None) -> np.ndarray:
+    """Psi: column j + d holds psi_j = e^{-i j tau H} phi0 for j = -d..d."""
+    return _evolved_states(spectral, phi0, _phase_rows(spectral, d, phases))
 
 
-def expectation_table_1d(spectral: SpectralData, phi0, d: int) -> np.ndarray:
+def expectation_table_1d(spectral: SpectralData, phi0, d: int, *,
+                         phases=None) -> np.ndarray:
     """table[j + d] = <phi0| e^{-i j tau H} |phi0>."""
-    return _one_time(spectral, overlaps(phi0, spectral), np.arange(-d, d + 1))
+    return _phase_rows(spectral, d, phases) @ overlaps(phi0, spectral)
 
 
-def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
+def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int, *,
+                        phases=None) -> np.ndarray:
     """table[j + d] = <phi0| O e^{-i j tau H} |phi0>."""
-    return _one_time(spectral, _observable_weights(spectral, phi0, o_matrix),
-                     np.arange(-d, d + 1))
+    return (_phase_rows(spectral, d, phases)
+            @ _observable_weights(spectral, phi0, o_matrix))
 
 
-def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
+def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int, *,
+                         states=None, moved=None) -> np.ndarray:
     """table[j + d, j' + d] = <phi0| e^{-ij tau H} O e^{-ij' tau H} |phi0>.
 
     <phi0| e^{-ij tau H} is psi_{-j}^H, so the bras are the state columns in
-    reverse order.
+    reverse order.  A caller that already holds Psi (:func:`table_states`)
+    or O Psi passes them as ``states`` and ``moved``.
     """
-    states = _table_states(spectral, phi0, d)
-    return _two_time(as_matrix(o_matrix, spectral.dim), states[:, ::-1], states)
+    if states is None:
+        states = table_states(spectral, phi0, d)
+    if moved is None:
+        moved = observable(o_matrix, spectral.dim).apply(states)
+    return _two_time(states[:, ::-1], moved)
 
 
-def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int) -> np.ndarray:
-    """nsq[j' + d] = ||O e^{-i j' tau H} phi0||^2."""
-    moved = as_matrix(o_matrix, spectral.dim) @ _table_states(spectral, phi0, d)
+def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int, *,
+                     moved=None) -> np.ndarray:
+    """nsq[j' + d] = ||O e^{-i j' tau H} phi0||^2; ``moved`` is O Psi when
+    the caller holds it."""
+    if moved is None:
+        moved = observable(o_matrix, spectral.dim).apply(
+            table_states(spectral, phi0, d))
     return np.linalg.norm(moved, axis=0) ** 2
 
 
 def exact_expectation_1d(spectral: SpectralData, phi0, j: int) -> complex:
     """<phi0| e^{-i j tau H} |phi0>."""
-    return complex(_one_time(spectral, overlaps(phi0, spectral), [j])[0])
+    return complex((_phases(spectral.scaled_eigenvalues, [j])
+                    @ overlaps(phi0, spectral))[0])
 
 
 def exact_expectation_O(spectral: SpectralData, phi0, o_matrix, j: int) -> complex:
     """<phi0| O e^{-i j tau H} |phi0>."""
-    return complex(_one_time(
-        spectral, _observable_weights(spectral, phi0, o_matrix), [j])[0])
+    return complex((_phases(spectral.scaled_eigenvalues, [j])
+                    @ _observable_weights(spectral, phi0, o_matrix))[0])
 
 
 def _two_time_at(spectral: SpectralData, phi0, o_matrix, eigenvalues,
                  s: float, t: float) -> complex:
     """<phi0| e^{-i s H} O e^{-i t H} |phi0>: the bra evolved to -s, the ket
     to t."""
-    states = _evolved_states(spectral, phi0, eigenvalues, [-s, t])
-    return complex(_two_time(as_matrix(o_matrix, spectral.dim), states[:, :1],
-                             states[:, 1:])[0, 0])
+    states = _evolved_states(spectral, phi0, _phases(eigenvalues, [-s, t]))
+    moved = as_matrix(o_matrix, spectral.dim) @ states[:, 1:]
+    return complex(_two_time(states[:, :1], moved)[0, 0])
 
 
 def exact_expectation_2d(spectral: SpectralData, phi0, o_matrix,
@@ -282,7 +372,7 @@ def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
     root = evecs @ np.diag(np.sqrt(1.0 - scaled ** 2)) @ evecs.conj().T
     top = o_mat / alpha
     unitary = np.block([[top, root], [root, -top]])
-    dev = _unitarity_deviation(unitary)
+    dev = _unitarity_deviation(observable(unitary))
     if dev > UNITARY_TOL:
         raise BlockEncodingError(f"embedding is not unitary (deviation {dev:.3e})")
     return BlockEncoding(unitary=unitary, alpha=float(alpha), m=1, operator=o_mat)

@@ -6,6 +6,7 @@ of a word is ``kron(m[word[0]], kron(m[word[1]], ...))``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -13,12 +14,9 @@ import numpy as np
 
 PAULI_AXES = "IXYZ"
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# diagonal of Z (for Z and Y letters) or of I, and i^k exactly
+_SIGNS = (np.ones(2), np.array([1.0, -1.0]))
+_I_POWERS = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 # (a, b) -> (k, c) with  a*b = i^k * c  for single-qubit Paulis.
 _PRODUCT = {
@@ -54,11 +52,26 @@ class PauliString:
     def n(self) -> int:
         return len(self.word)
 
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values): column c of the matrix holds values[c] at row
+        rows[c] = c ^ x and zeros elsewhere, with
+        values[c] = i^{#Y} (-1)^{popcount(c & z)}, where the mask x marks the
+        X and Y letters and z the Z and Y letters (qubit 0 the most
+        significant bit)."""
+        x = 0
+        for letter in self.word:
+            x = 2 * x + (letter in "XY")
+        # (-1)^{popcount(c & z)} for every c: the Kronecker product of the
+        # letters' diagonal signs
+        signs = functools.reduce(np.kron,
+                                 [_SIGNS[letter in "YZ"] for letter in self.word])
+        return np.arange(2 ** self.n) ^ x, _I_POWERS[self.word.count("Y") % 4] * signs
+
     def matrix(self) -> np.ndarray:
         _check_dense_size(self.n)
-        out = _SINGLE[self.word[0]]
-        for c in self.word[1:]:
-            out = np.kron(out, _SINGLE[c])
+        rows, values = self.signed_permutation()
+        out = np.zeros((values.size, values.size), dtype=complex)
+        out[rows, np.arange(values.size)] = values
         return out
 
     def __str__(self) -> str:
@@ -98,10 +111,13 @@ class PauliOperator:
     n: int
 
     def matrix(self) -> np.ndarray:
+        """Sum of the terms, each scattered onto its one nonzero per column."""
         _check_dense_size(self.n)
-        out = np.zeros((2 ** self.n, 2 ** self.n), dtype=complex)
+        columns = np.arange(2 ** self.n)
+        out = np.zeros((columns.size, columns.size), dtype=complex)
         for coeff, string in self.terms:
-            out += coeff * string.matrix()
+            rows, values = string.signed_permutation()
+            out[rows, columns] += coeff * values
         return out
 
     def coefficient_norm(self) -> float:

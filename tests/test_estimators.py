@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from gspe import (EstimationConfig, build_operator, diagonalize, embed_block,
                   estimate_gse, estimate_gsprop_block,
                   estimate_gsprop_commutative, estimate_gsprop_general,
                   estimate_overlap, good_point, median_of_means)
-from gspe.estimators import (EstimationError, PreconditionError,
+from gspe import estimators
+from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError,
                              acdf_2d_exact, acdf_exact, acdf_weighted_exact,
                              bracket_iterations, certify, certify_schedule,
                              expectation_table_1d, expectation_table_2d,
@@ -16,11 +18,11 @@ from gspe.estimators import (EstimationError, PreconditionError,
                              g_estimator, invert_cdf, sample_J, sample_j_batch,
                              weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
-from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1,
+from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1, observable,
                            outcome_distribution_1d, sample_blocks)
-from gspe.spectral import mixed_with_noise, overlaps
+from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
-from conftest import random_hermitian, random_unitary
+from conftest import kron_word, random_hermitian, random_unitary
 
 
 def _spectral_at(positions):
@@ -546,6 +548,54 @@ def test_commutative_rejects_noncommuting(tfim3):
         cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
         estimate_gsprop_commutative(s, s.ground_state(),
                                     build_operator([(1.0, "ZII")]).matrix(), cfg)
+
+
+class _ReachedSampling(Exception):
+    pass
+
+
+def _no_sampling(*args, **kwargs):
+    raise _ReachedSampling
+
+
+@pytest.mark.parametrize("kind", ["commuting-pauli", "noncommuting-pauli", "dense"])
+def test_commutation_check_decision_and_message(tfim3, rng, monkeypatch, kind):
+    """A signed-permutation O forms H O and O H by a gather; the decision and
+    the message are those of the dense products."""
+    _, s = tfim3
+    o_mat = {"commuting-pauli": kron_word("XXX"),  # the TFIM parity
+             "noncommuting-pauli": kron_word("ZII"),
+             "dense": random_unitary(rng, 8)}[kind]
+    assert (observable(o_mat).columns is None) == (kind == "dense")
+    h = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+    comm = np.linalg.norm(h @ o_mat - o_mat @ h)
+    commutes = comm <= COMMUTATION_TOL * max(1.0, np.linalg.norm(h))
+    assert commutes == (kind == "commuting-pauli")
+    monkeypatch.setattr(estimators, "estimate_denominator", _no_sampling)
+    cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
+    if commutes:
+        with pytest.raises(_ReachedSampling):
+            estimate_gsprop_commutative(s, s.ground_state(), o_mat, cfg)
+    else:
+        with pytest.raises(PreconditionError, match=re.escape(f"({comm:.3e})")):
+            estimate_gsprop_commutative(s, s.ground_state(), o_mat, cfg)
+
+
+@pytest.mark.parametrize("pipeline", ["commutative", "general", "block"])
+def test_wrong_size_observable_rejected_before_sampling(variant2q, monkeypatch,
+                                                        pipeline):
+    _, s = variant2q
+    monkeypatch.setattr(estimators, "_pool_sums", _no_sampling)
+    cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
+    o_mat = np.eye(8)
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape("operator shape (8, 8), expected (4, 4)")):
+        if pipeline == "commutative":
+            estimate_gsprop_commutative(s, s.ground_state(), o_mat, cfg)
+        elif pipeline == "general":
+            estimate_gsprop_general(s, s.ground_state(), o_mat, cfg)
+        else:
+            estimate_gsprop_block(s, s.ground_state(), embed_block(o_mat), cfg)
 
 
 def test_general_identity(variant2q):

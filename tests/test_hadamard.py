@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from gspe import build_operator, diagonalize, embed_block
+from gspe import PauliString, build_operator, diagonalize, embed_block
 from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncodingError,
                            NotUnitaryError, block_circuit_distribution, block_norm_table,
                            block_success_prob, draw_block_xy, draw_xy_pm1,
                            exact_expectation_1d, exact_expectation_2d,
                            exact_expectation_block, exact_expectation_O,
-                           expectation_table_2d,
-                           generalized_circuit_distribution,
+                           expectation_table_1d, expectation_table_2d,
+                           expectation_table_O, generalized_circuit_distribution,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
-                           outcome_distribution_O, require_unitary, sample_1d,
-                           sample_block, sample_block_pair, sample_generalized,
-                           sample_blocks, sample_O)
+                           outcome_distribution_O, observable, phase_block,
+                           require_unitary, sample_1d, sample_block,
+                           sample_block_pair, sample_generalized, sample_blocks,
+                           sample_O, table_states)
 
-from conftest import (dense_from_terms, random_hermitian, random_state,
-                      random_unitary)
+from conftest import (dense_from_terms, kron_word, random_hermitian,
+                      random_state, random_unitary)
 
 
 def _dense_expm(h_mat, t):
@@ -165,6 +166,17 @@ def _psd_sqrt(mat):
 # symmetric and orthogonal: a 16 x 16 Sylvester-Hadamard matrix over sqrt(16)
 _REFLECTION = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * 4) / 4.0
 
+# Hermitian signed permutation with +-1 and +-i entries: Y (+) Z (+) X
+_SIGNED = sla.block_diag(kron_word("Y"), kron_word("Z"), kron_word("X"))
+
+
+def _scaled_entry(u, scale):
+    """``u`` with its real diagonal entry (2, 2) scaled, still Hermitian."""
+    u = u.copy()
+    u[2, 2] *= scale
+    return u
+
+
 # name -> (U, 1-norm bound of U^H U - I above UNITARY_TOL, accepted)
 UNITARITY_CASES = {
     "exact": (_REFLECTION, False, True),
@@ -172,6 +184,14 @@ UNITARITY_CASES = {
     "bound-only-above-tol": (_psd_sqrt(np.eye(16) + 5e-11 * _REFLECTION), True, True),
     # U^H U - I = 1e-9 I
     "norm-above-tol": (math.sqrt(1.0 + 1e-9) * _REFLECTION, True, False),
+    # signed permutations: U^H U is diagonal, holding |m|^2 for each nonzero m
+    "signed-permutation": (_SIGNED, False, True),
+    # one |m|^2 - 1 = 5e-11
+    "signed-permutation-below-tol": (_scaled_entry(_SIGNED, math.sqrt(1.0 + 5e-11)),
+                                     False, True),
+    # one |m|^2 - 1 = 1e-9
+    "signed-permutation-above-tol": (_scaled_entry(_SIGNED, math.sqrt(1.0 + 1e-9)),
+                                     True, False),
 }
 
 
@@ -201,6 +221,24 @@ def test_unitarity_decision_table(case):
             require_unitary(u)
         with pytest.raises(BlockEncodingError, match=message):
             embed_block(alpha * u, alpha)
+
+
+def test_signed_permutations_take_the_structured_path():
+    for case, (u, _, _) in UNITARITY_CASES.items():
+        assert (observable(u).columns is not None) == case.startswith("signed")
+    # one nonzero per row, but column 0 holds two and column 1 none
+    u = np.zeros((4, 4), dtype=complex)
+    u[[0, 1, 2, 3], [0, 0, 2, 3]] = 1.0
+    assert observable(u).columns is None
+    dev = np.linalg.norm(_gram_deviation(u), 2)
+    with pytest.raises(NotUnitaryError, match=re.escape(f"{dev:.3e}")):
+        require_unitary(u)
+
+
+def test_require_unitary_rejects_non_square():
+    # an isometry passes U^H U = I; only the shape tells it from a unitary
+    with pytest.raises(NotUnitaryError, match="not square"):
+        require_unitary(np.eye(4)[:, :2])
 
 
 def test_observable_must_be_unitary(rng, z_system):
@@ -362,6 +400,38 @@ def test_block_fast_path_matches_circuit(rng):
     assert pm == pytest.approx(0.5 * (p_succ - e.real / alpha), abs=1e-12)
     pf, pp, pm = block_circuit_distribution(s, phi, b, t1, t2, "S")
     assert pp == pytest.approx(0.5 * (p_succ + e.imag / alpha), abs=1e-12)
+
+
+def test_phase_block_rows_give_identical_tables(rng):
+    _, s, phi = _random_instance(rng, 3)
+    o_mat = random_unitary(rng, 8)
+    d = 6
+    phases = phase_block(s, d + 5)
+    pairs = [(expectation_table_1d(s, phi, d, phases=phases),
+              expectation_table_1d(s, phi, d)),
+             (expectation_table_O(s, phi, o_mat, d, phases=phases),
+              expectation_table_O(s, phi, o_mat, d)),
+             (table_states(s, phi, d, phases=phases), table_states(s, phi, d))]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="cannot serve degree"):
+        table_states(s, phi, d + 6, phases=phases)
+
+
+@pytest.mark.parametrize("word", [a + b for a in "IXYZ" for b in "IXYZ"])
+def test_pauli_tables_equal_dense_formula_bit_for_bit(rng, word):
+    """The gather O Psi of a signed permutation gives the dense tables."""
+    _, s, phi = _random_instance(rng, 2)
+    d = 5
+    amps = s.eigenvectors.conj().T @ phi
+    phases = np.exp(-1j * np.outer(np.arange(-d, d + 1), s.scaled_eigenvalues))
+    states = s.eigenvectors @ (phases * amps[None, :]).T
+    moved = kron_word(word) @ states
+    assert observable(PauliString(word)).columns is not None
+    table = expectation_table_2d(s, phi, PauliString(word), d)
+    assert table.tobytes() == (states[:, ::-1].conj().T @ moved).tobytes()
+    nsq = block_norm_table(s, phi, PauliString(word), d)
+    assert nsq.tobytes() == (np.linalg.norm(moved, axis=0) ** 2).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])

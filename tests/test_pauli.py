@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from gspe.pauli import (OperatorError, PauliString, build_operator,
                         diagonal_operator, multiply_strings, strings_commute)
 
-from conftest import kron_word
+from conftest import dense_from_terms, kron_word
 
 words = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
@@ -57,6 +59,24 @@ def test_string_squares_to_identity(word):
 @settings(max_examples=40, deadline=None)
 def test_string_matches_reference_kron(word):
     assert np.allclose(PauliString(word).matrix(), kron_word(word), atol=0)
+
+
+SHORT_WORDS = ["".join(w) for n in (1, 2, 3) for w in itertools.product("IXYZ", repeat=n)]
+
+
+@pytest.mark.parametrize("word", SHORT_WORDS + ["XYZIZYXIXY", "YYYYYYYYYY",
+                                                "ZIZIZIZIXX", "IIIIIIIIIY"])
+def test_string_matrix_equals_kron_chain(word):
+    """The signed-permutation rule gives the Kronecker chain, entry for entry."""
+    assert np.array_equal(PauliString(word).matrix(), kron_word(word))
+
+
+def test_operator_matrix_equals_kron_sum(rng):
+    terms = [(rng.normal(), "".join(rng.choice(list("IXYZ"), size=5)))
+             for _ in range(16)]
+    op = build_operator(terms)
+    want = dense_from_terms([(c, s.word) for c, s in op.terms])
+    assert op.matrix().tobytes() == want.tobytes()
 
 
 @given(st.integers(1, 4), st.data())

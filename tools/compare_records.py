@@ -1,0 +1,167 @@
+"""Run the same gspe CLI configs on two source trees and compare the outputs.
+
+    python3 tools/compare_records.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
+config runs as ``python -m gspe.cli`` with that tree first on PYTHONPATH, in
+its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
+``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, the shipped ``sweep-gamma`` sweep,
+and small general, block (default alpha and alpha = 1.5), commutative and
+1RDM ((p, q) = (0, 1) and (0, 0)) configs built below.  For every output file
+it prints ``identical`` or the largest relative difference between
+corresponding numbers.  The exit code is 0 when every file is identical.
+"""
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+TFIM3 = {"type": "pauli", "n": 3,
+         "terms": [{"coeff": -1.0, "word": "ZZI"}, {"coeff": -1.0, "word": "IZZ"},
+                   {"coeff": -0.5, "word": "XII"}, {"coeff": -0.5, "word": "IXI"},
+                   {"coeff": -0.5, "word": "IIX"}]}
+HOPPING2 = {"type": "pauli", "n": 2,
+            "terms": [{"coeff": 0.5, "word": "XX"}, {"coeff": 0.5, "word": "YY"},
+                      {"coeff": 0.15, "word": "ZI"}, {"coeff": -0.1, "word": "IZ"}]}
+
+
+def _observable(*terms) -> dict:
+    return {"n": len(terms[0][1]),
+            "terms": [{"coeff": c, "word": w} for c, w in terms]}
+
+
+def _tfim3(mode: str, observable: dict, **extra) -> dict:
+    return {"mode": mode, "instance": TFIM3,
+            "initial_state": {"type": "ground_mixed", "overlap": 0.6},
+            "observable": observable, "epsilon": 0.1, "eta": 0.5, "nu": 0.1,
+            "seed": 5, **extra}
+
+
+def _rdm(p: int, q: int) -> dict:
+    return {"mode": "rdm", "instance": HOPPING2,
+            "initial_state": {"type": "ground_mixed", "overlap": 0.6},
+            "rdm": {"p": p, "q": q}, "epsilon": 0.05, "eta": 0.5, "nu": 0.1,
+            "seed": 4}
+
+
+def cases():
+    """(name, command, config, GSPE_SEED or None)."""
+    for name in ("tfim3-gse", "qlss-kappa4"):
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        for seed in (0, 1, 2):
+            yield f"{name}@{seed}", "run", config, seed
+    yield "sweep-gamma", "sweep", json.loads(
+        (CONFIGS / "sweep-gamma.json").read_text()), None
+    hermitian = _observable((0.6, "ZII"), (0.3, "XXI"))
+    inline = {
+        "general": _tfim3("gsprop-general", _observable((1.0, "XII"))),
+        "block": _tfim3("gsprop-block", hermitian),
+        "block-alpha1.5": _tfim3("gsprop-block", hermitian, alpha=1.5),
+        "commutative": _tfim3("gsprop-commutative", _observable((1.0, "XXX"))),
+        "rdm-0-1": _rdm(0, 1),
+        "rdm-0-0": _rdm(0, 0),
+    }
+    for name, config in inline.items():
+        yield name, "run", dict(config, output=f"{name}-record.json"), None
+
+
+def run(src: Path, command: str, config: dict, seed) -> dict:
+    """{output file name: bytes} of one CLI run on the tree at ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("GSPE_SEED", None)
+    if seed is not None:
+        env["GSPE_SEED"] = str(seed)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(config))
+        proc = subprocess.run([sys.executable, "-m", "gspe.cli", command, str(path)],
+                              cwd=work, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{src}: exit code {proc.returncode}: "
+                               f"{proc.stderr.strip()[-300:]}")
+        names = [config["output"]] + ([config["cdf_trace"]]
+                                      if config.get("cdf_trace") else [])
+        return {name: (Path(work) / name).read_bytes() for name in names}
+
+
+def _numbers(blob: bytes, name: str) -> list:
+    """Every number of a JSON record or CSV table, in document order; other
+    leaves as strings, so a changed structure compares unequal."""
+    if name.endswith(".csv"):
+        rows = csv.reader(io.StringIO(blob.decode()))
+        return [_leaf(cell) for row in rows for cell in row]
+    out = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                out.append(key)
+                walk(node[key])
+        elif isinstance(node, list):
+            out.append(len(node))
+            for item in node:
+                walk(item)
+        else:
+            out.append(node)
+
+    walk(json.loads(blob))
+    return out
+
+
+def _leaf(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def largest_difference(a: bytes, b: bytes, name: str) -> float:
+    """Largest |x - y| / max(|x|, |y|) over corresponding numbers; inf when
+    the structure or a non-number differs."""
+    left, right = _numbers(a, name), _numbers(b, name)
+    if len(left) != len(right):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(left, right):
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (x, y))
+        if not numeric:
+            if x != y:
+                return math.inf
+        elif x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv)
+    all_identical = True
+    for name, command, config, seed in cases():
+        before = run(parent, command, config, seed)
+        after = run(change, command, config, seed)
+        for output in before:
+            if before[output] == after[output]:
+                verdict = "identical"
+            else:
+                all_identical = False
+                verdict = (f"differs, largest relative difference "
+                           f"{largest_difference(before[output], after[output], output):.3e}")
+            print(f"{name:18s} {output:28s} {verdict}", flush=True)
+    return 0 if all_identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
