@@ -46,7 +46,7 @@ def _resolve_seed(config: dict) -> int:
 
 
 def _load_instance(config: dict, gamma: float | None = None):
-    """Returns (spectral, phi0, operator-ish) for Hamiltonian modes."""
+    """Returns (spectral, phi0) for Hamiltonian modes."""
     spec = config.get("instance")
     if spec is None:
         raise ConfigError("config: missing instance")
@@ -57,12 +57,10 @@ def _load_instance(config: dict, gamma: float | None = None):
         operator, weights = serialization.parse_synthetic(spec, gamma)
         spectral = diagonalize(operator)
         phi0 = spectral.eigenvectors @ np.sqrt(weights).astype(complex)
-        return spectral, phi0, operator
+        return spectral, phi0
     if kind == "pauli":
-        operator = serialization.parse_operator(spec, "instance")
-        spectral = diagonalize(operator)
-        phi0 = _initial_state(config, spectral)
-        return spectral, phi0, operator
+        spectral = diagonalize(serialization.parse_operator(spec, "instance"))
+        return spectral, _initial_state(config, spectral)
     raise ConfigError(f"instance: unknown type {kind!r}")
 
 
@@ -73,8 +71,13 @@ def _initial_state(config: dict, spectral):
     if kind == "plus":
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     if kind == "basis":
+        index = spec.get("index", 0)
+        if isinstance(index, bool) or not isinstance(index, int) \
+                or not 0 <= index < dim:
+            raise ConfigError(f"initial_state: basis index must be an integer "
+                              f"in [0, {dim}), got {index!r}")
         state = np.zeros(dim, dtype=complex)
-        state[int(spec.get("index", 0))] = 1.0
+        state[index] = 1.0
         return state
     if kind == "ground_mixed":
         overlap = float(spec.get("overlap", 0.5))
@@ -84,12 +87,16 @@ def _initial_state(config: dict, spectral):
     if kind == "amplitudes":
         re = np.array(spec.get("re", []), dtype=float)
         im = np.array(spec.get("im", np.zeros_like(re)), dtype=float)
+        if re.shape != (dim,) or im.shape != (dim,) or not (re.any() or im.any()):
+            raise ConfigError(f"initial_state: amplitudes re and im must have "
+                              f"length {dim} and not all be zero")
         return normalized(re + 1j * im)
     if kind == "overlaps":
         weights = np.array(spec.get("p", []), dtype=float)
-        if weights.size != dim or abs(weights.sum() - 1.0) > 1e-9:
-            raise ConfigError("initial_state: overlaps must sum to 1 and match "
-                              "the instance dimension")
+        if weights.size != dim or abs(weights.sum() - 1.0) > 1e-9 \
+                or weights.min() < 0.0:
+            raise ConfigError("initial_state: overlaps must be nonnegative, sum "
+                              "to 1 and match the instance dimension")
         return spectral.eigenvectors @ np.sqrt(weights).astype(complex)
     raise ConfigError(f"initial_state: unknown type {kind!r}")
 
@@ -143,7 +150,7 @@ def _write_cdf_trace(path: str, spectral, phi0, gse) -> None:
 
 
 def run_gse(config: dict, gamma: float | None = None) -> dict:
-    spectral, phi0, _ = _load_instance(config, gamma)
+    spectral, phi0 = _load_instance(config, gamma)
     cfg = _estimation_config(config, gamma)
     report = estimators.estimate_gse(spectral, phi0, cfg)
     record = _base_record(config, "gse")
@@ -160,7 +167,7 @@ def _ground_expectation(spectral, o_mat) -> float:
 
 
 def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
-    spectral, phi0, _ = _load_instance(config, gamma)
+    spectral, phi0 = _load_instance(config, gamma)
     cfg = _estimation_config(config, gamma)
     observable = serialization.parse_operator(config.get("observable") or {},
                                               "observable")
@@ -202,7 +209,7 @@ def run_qlss(config: dict) -> dict:
 
 
 def run_rdm(config: dict) -> dict:
-    spectral, phi0, _ = _load_instance(config)
+    spectral, phi0 = _load_instance(config)
     cfg = _estimation_config(config)
     rdm = config.get("rdm") or {}
     try:

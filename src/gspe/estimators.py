@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class EstimationConfig:
 
     ``gamma`` defaults to the oracle gap of the instance.  Derived schedules
     may be pinned via ``n_s``/``n_b`` (Certify batches) and ``n_g``/``k``
-    (median-of-means groups and group size).
+    (median-of-means groups and group size), each None or an int >= 1.
     """
 
     epsilon: float
@@ -63,6 +64,12 @@ class EstimationConfig:
                 raise PreconditionError(f"{name} must lie in (0, 1), got {v}")
         if self.gamma is not None and self.gamma <= 0.0:
             raise PreconditionError(f"gamma must be positive, got {self.gamma}")
+        for name in ("n_s", "n_b", "n_g", "k"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, Integral)
+                                  or v < 1):
+                raise PreconditionError(
+                    f"{name} must be None or an integer >= 1, got {v!r}")
 
 
 @dataclass
@@ -77,10 +84,6 @@ class EvolutionBudget:
         if times.size:
             self.max_time = max(self.max_time, float(times.max()))
             self.total_time += float(times.sum())
-
-    def merge(self, other: "EvolutionBudget") -> None:
-        self.max_time = max(self.max_time, other.max_time)
-        self.total_time += other.total_time
 
 
 @dataclass
@@ -383,10 +386,10 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
 
 
 def good_point(x_star: float, tau: float, gamma: float, *,
-               epsilon: float | None = None) -> float:
+               epsilon: float) -> float:
     """x* + tau*gamma/2, the evaluation point clear of both the ground jump
     and the first excited jump.  Requires the GSE accuracy epsilon < gamma/4."""
-    if epsilon is not None and not 0.0 < epsilon < gamma / 4.0:
+    if not 0.0 < epsilon < gamma / 4.0:
         raise PreconditionError(
             f"good point needs epsilon in (0, gamma/4); got epsilon={epsilon}, "
             f"gamma={gamma}")
@@ -423,18 +426,18 @@ def _overlap_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float):
 
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
-                     nu: float | None = None, rng=None,
-                     budget: EvolutionBudget | None = None, phases=None) -> float:
+                     nu: float | None = None, budget: EvolutionBudget | None = None,
+                     phases=None) -> float:
     """The overlap stage: median-of-means estimate of p0 = C(x_good);
     ``phases`` as in :func:`estimate_gse`."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
     n_g, k = _overlap_schedule(approx, cfg, nu)
-    rng = rng if rng is not None else stage_rng(cfg.seed, "overlap")
     budget = budget if budget is not None else EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
-    return weighted_stage(approx, e_table, x_good, n_g, k, rng, budget,
+    return weighted_stage(approx, e_table, x_good, n_g, k,
+                          stage_rng(cfg.seed, "overlap"), budget,
                           spectral.tau).real
 
 
@@ -466,10 +469,16 @@ class Denominator:
         for a unitary observable, the block-encoding scale otherwise."""
         return 2.0 * alpha ** 2 * self.approx.total_weight ** 4
 
-    def ratio(self, cfg: EstimationConfig, table: np.ndarray, var_bound: float,
-              tau: float, *, nsq_table=None, alpha=None) -> EstimateReport:
+    def ratio(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
+              nsq_table=None, alpha=None) -> EstimateReport:
         """Weighted stage on ``table`` at failure probability nu, divided by
-        p0_bar; ``var_bound`` bounds the second moment of one shot."""
+        p0_bar.  The schedule bounds the second moment of one shot by 2 W^2
+        for a one-time table and by :meth:`two_time_bound` (alpha = 1
+        without a block encoding) for a two-time one."""
+        if table.ndim == 1:
+            var_bound = 2.0 * self.approx.total_weight ** 2
+        else:
+            var_bound = self.two_time_bound(1.0 if alpha is None else alpha)
         n_g, k = mom_schedule(var_bound, cfg.eta, cfg.epsilon / 4.0, self.nu,
                               cfg.n_g, cfg.k)
         num = weighted_stage(self.approx, table, self.x_good, n_g, k,
@@ -486,8 +495,8 @@ class Denominator:
         ``block``, whose per-shot variance carries an alpha^2 factor."""
         table, nsq = _block_tables(spectral, phi0, block.operator,
                                    self.approx.d, self.take_phases())
-        report = self.ratio(cfg, table, self.two_time_bound(block.alpha),
-                            spectral.tau, nsq_table=nsq, alpha=block.alpha)
+        report = self.ratio(cfg, table, spectral.tau, nsq_table=nsq,
+                            alpha=block.alpha)
         report.intermediate["alpha"] = block.alpha
         return report
 
@@ -521,8 +530,7 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
         gse_cfg = replace(cfg, epsilon=eps_gse, gamma=gamma)
         gse_approx = _gse_approx(spectral, gse_cfg)
         phases = hadamard.phase_block(spectral, max(approx.d, gse_approx.d))
-        gse = estimate_gse(spectral, phi0, gse_cfg, nu=nu,
-                           rng=stage_rng(cfg.seed, "gse"), approx=gse_approx,
+        gse = estimate_gse(spectral, phi0, gse_cfg, nu=nu, approx=gse_approx,
                            phases=phases)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
                             epsilon=eps_gse)
@@ -545,11 +553,6 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
 
 # --- end-to-end pipelines -----------------------------------------------------
 
-def _dense_hamiltonian(spectral: SpectralData) -> np.ndarray:
-    v = spectral.eigenvectors
-    return (v * spectral.eigenvalues) @ v.conj().T
-
-
 def _unitary_observable(o_operator, dim: int) -> hadamard.Observable:
     """O checked unitary, then checked to act on the instance, before any
     shot is drawn; its signed-permutation form is found here, once."""
@@ -559,17 +562,20 @@ def _unitary_observable(o_operator, dim: int) -> hadamard.Observable:
 
 def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
                                 cfg: EstimationConfig) -> EstimateReport:
-    """Property pipeline for a unitary observable commuting with H."""
+    """Property pipeline for a unitary observable commuting with H.
+
+    ||H O - O H||_F is read in the eigenbasis, where V^H [H, O] V has entries
+    (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed.
+    """
     obs = _unitary_observable(o_operator, spectral.dim)
-    h_mat = _dense_hamiltonian(spectral)
-    comm = np.linalg.norm(obs.commutator(h_mat))
-    if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(h_mat)):
+    lam, v = spectral.eigenvalues, spectral.eigenvectors
+    comm = np.linalg.norm((lam[:, None] - lam) * (v.conj().T @ obs.apply(v)))
+    if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
     front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
     table = expectation_table_O(spectral, phi0, obs, front.approx.d,
                                 phases=front.take_phases())
-    return front.ratio(cfg, table, 2.0 * front.approx.total_weight ** 2,
-                       spectral.tau)
+    return front.ratio(cfg, table, spectral.tau)
 
 
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
@@ -582,7 +588,7 @@ def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
     table = expectation_table_2d(
         spectral, phi0, obs, d,
         states=table_states(spectral, phi0, d, phases=front.take_phases()))
-    return front.ratio(cfg, table, front.two_time_bound(), spectral.tau)
+    return front.ratio(cfg, table, spectral.tau)
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,

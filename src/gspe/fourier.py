@@ -22,6 +22,7 @@ COEFF_DECAY_CONSTANT = 2.0 / math.pi
 
 RANGE_TOL = 1e-9
 DEGREE_CAP = 50_000
+CHECK_GRID = 2 ** 16  # validity-check grid, refined only for degrees >= 2^15
 
 
 class FourierConstructionError(ValueError):
@@ -153,11 +154,6 @@ class FourierApprox:
             (small if scaled[g] < 1.0 else large).append(g)
         return accept, alias
 
-    def coefficient(self, j: int) -> complex:
-        if abs(j) > self.d:
-            return 0.0 + 0.0j
-        return complex(self.coefficients[j + self.d])
-
     def phase(self, j: int) -> float:
         return float(self.phases[j + self.d])
 
@@ -226,11 +222,9 @@ def _end_values(coeffs: np.ndarray, delta: float) -> np.ndarray:
     return coeffs[d].real + 2.0 * (phases @ coeffs[d + 1:]).real
 
 
-def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float,
-                           n_grid: int = 2 ** 16) -> bool:
+def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float) -> bool:
     d = (coeffs.size - 1) // 2
-    if n_grid <= 2 * d:
-        n_grid = _exact_grid_size(d)
+    n_grid = CHECK_GRID if CHECK_GRID > 2 * d else _exact_grid_size(d)
     x, values = _synthesize_on_circle(coeffs, n_grid)
     if values.min() < -RANGE_TOL or values.max() > 1.0 + RANGE_TOL:
         return False
@@ -248,7 +242,7 @@ def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float,
 
 
 @lru_cache(maxsize=64)
-def degree_for(delta: float, epsilon: float, degree_cap: int = DEGREE_CAP) -> int:
+def degree_for(delta: float, epsilon: float) -> int:
     """Smallest degree (up to bisection granularity) whose construction meets
     the range and sup-error requirements, found by doubling then bisecting."""
     _check_mollifier_delta(delta)
@@ -256,7 +250,7 @@ def degree_for(delta: float, epsilon: float, degree_cap: int = DEGREE_CAP) -> in
         raise FourierConstructionError(f"epsilon must be in (0, 1), got {epsilon}")
     # keep T_d below float overflow: its peak grows like exp(d * acosh(y_max))
     y_max = _kernel_argument(0.0, delta)
-    cap = min(degree_cap, int(680.0 / math.acosh(y_max)))
+    cap = min(DEGREE_CAP, int(680.0 / math.acosh(y_max)))
     d = max(8, int(math.ceil(2.0 / delta)))
     while not _construction_is_valid(fourier_coefficients_at(d, delta, epsilon),
                                      delta, epsilon):

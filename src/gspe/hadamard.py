@@ -38,22 +38,17 @@ class Shot:
     ``z`` bundles one X run (W = I) and one Y run (W = S) at the same time
     parameters, so z lies in {+-1 +- i} for unitary circuits and in
     {0, +-alpha} + i{0, +-alpha} for the post-selected block-encoded circuit.
-    ``branch`` records which W settings produced the components.
     """
 
     z: complex
-    j: int | None = None
-    j2: int | None = None
-    branch: str = "IS"
 
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Unitary on m ancilla qubits + system whose top-left block is O/alpha."""
+    """Unitary on one ancilla qubit + system whose top-left block is O/alpha."""
 
     unitary: np.ndarray
     alpha: float
-    m: int
     operator: np.ndarray
 
     @property
@@ -81,7 +76,7 @@ class Observable:
     (every Pauli string and Majorana product) is a signed permutation: row r
     holds ``values[r]`` at column ``columns[r]`` and nothing else.  Then
     U^H U is diagonal and O Psi is a row gather and scale; every other matrix
-    keeps the dense products.  :func:`observable` reads the form off the
+    keeps the dense product.  :func:`observable` reads the form off the
     nonzero pattern.
     """
 
@@ -96,14 +91,6 @@ class Observable:
         moved = states[self.columns]
         moved *= self.values[:, None]
         return moved
-
-    def commutator(self, h_mat: np.ndarray) -> np.ndarray:
-        """H O - O H."""
-        if self.columns is None:
-            return h_mat @ self.matrix - self.matrix @ h_mat
-        h_o = np.empty_like(h_mat)  # column columns[r] of H O is values[r] H[:, r]
-        h_o[:, self.columns] = h_mat * self.values
-        return h_o - self.apply(h_mat)
 
 
 def observable(op, dim: int | None = None) -> Observable:
@@ -332,23 +319,22 @@ def _draw_pm1(p_plus: float, rng) -> int:
     return 1 if rng.random() < p_plus else -1
 
 
-def _bundle(dist, rng, j=None, j2=None) -> Shot:
+def _bundle(dist, rng) -> Shot:
     x = _draw_pm1(dist["X"][0], rng)
     y = _draw_pm1(dist["Y"][0], rng)
-    return Shot(z=complex(x, y), j=j, j2=j2)
+    return Shot(z=complex(x, y))
 
 
 def sample_1d(spectral, phi0, j: int, rng) -> Shot:
-    return _bundle(outcome_distribution_1d(spectral, phi0, j), rng, j=j)
+    return _bundle(outcome_distribution_1d(spectral, phi0, j), rng)
 
 
 def sample_O(spectral, phi0, o_matrix, j: int, rng) -> Shot:
-    return _bundle(outcome_distribution_O(spectral, phi0, o_matrix, j), rng, j=j)
+    return _bundle(outcome_distribution_O(spectral, phi0, o_matrix, j), rng)
 
 
 def sample_2d(spectral, phi0, o_matrix, j: int, j2: int, rng) -> Shot:
-    return _bundle(outcome_distribution_2d(spectral, phi0, o_matrix, j, j2),
-                   rng, j=j, j2=j2)
+    return _bundle(outcome_distribution_2d(spectral, phi0, o_matrix, j, j2), rng)
 
 
 # --- block encoding ----------------------------------------------------------
@@ -375,7 +361,7 @@ def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
     dev = _unitarity_deviation(observable(unitary))
     if dev > UNITARY_TOL:
         raise BlockEncodingError(f"embedding is not unitary (deviation {dev:.3e})")
-    return BlockEncoding(unitary=unitary, alpha=float(alpha), m=1, operator=o_mat)
+    return BlockEncoding(unitary=unitary, alpha=float(alpha), operator=o_mat)
 
 
 def _system_propagator(spectral: SpectralData, t: float) -> np.ndarray:
@@ -393,16 +379,13 @@ def block_circuit_distribution(spectral, phi0, block: BlockEncoding,
     """
     phi0 = as_state(phi0, dim=block.system_dim)
     dim = block.system_dim
-    anc_dim = 2 ** block.m
-    zero_m = np.zeros(anc_dim)
-    zero_m[0] = 1.0
-    start = np.kron(zero_m, phi0)
+    start = np.kron([1.0, 0.0], phi0)
     b0 = start / math.sqrt(2.0)
     b1 = start / math.sqrt(2.0)
     prop1 = _system_propagator(spectral, t1)
-    b1 = (np.kron(np.eye(anc_dim), prop1)) @ b1
+    b1 = (np.kron(np.eye(2), prop1)) @ b1
     b1 = block.unitary @ b1
-    # measure the encoding ancillas; keep the 0^m block
+    # measure the encoding ancilla; keep its 0 block
     keep0, keep1 = b0[:dim], b1[:dim]
     p_succ = float(np.linalg.norm(keep0) ** 2 + np.linalg.norm(keep1) ** 2)
     if p_succ <= 0.0:
@@ -442,7 +425,7 @@ def sample_block(spectral, phi0, block: BlockEncoding, t1: float, t2: float,
         spectral, phi0, block, t1, t2, w)
     val = _draw_three(p_plus, p_minus, block.alpha, rng)
     z = complex(val, 0.0) if w == "I" else complex(0.0, val)
-    return Shot(z=z, branch=w)
+    return Shot(z=z)
 
 
 def sample_block_pair(spectral, phi0, block: BlockEncoding, t1: float,
@@ -461,21 +444,18 @@ def generalized_circuit_distribution(spectral, phi0, block: BlockEncoding,
     and the closing gate fixed to G(1/sqrt2, 1/sqrt2, 0).
 
     Value alphabet is {0, +-alpha/(2ab)}; returns (p_fail, p_plus, p_minus)
-    where with W = I outcome (1, 0^m) carries the + value and with W = S
-    outcome (0, 0^m) does, so that E[X] = Re and E[Y] = Im of the target.
+    where with W = I outcome (1, 0) carries the + value and with W = S
+    outcome (0, 0) does, so that E[X] = Re and E[Y] = Im of the target.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"gate parameter a must be in (0, 1), got {a}")
     b = math.sqrt(1.0 - a * a)
     phi0 = as_state(phi0, dim=block.system_dim)
     dim = block.system_dim
-    anc_dim = 2 ** block.m
-    zero_m = np.zeros(anc_dim)
-    zero_m[0] = 1.0
-    start = np.kron(zero_m, phi0)
+    start = np.kron([1.0, 0.0], phi0)
     b0 = a * start
     b1 = -b * start
-    b1 = (np.kron(np.eye(anc_dim), _system_propagator(spectral, t1))) @ b1
+    b1 = (np.kron(np.eye(2), _system_propagator(spectral, t1))) @ b1
     b1 = block.unitary @ b1
     keep0, keep1 = b0[:dim], b1[:dim]
     keep1 = _system_propagator(spectral, t2) @ keep1

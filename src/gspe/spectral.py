@@ -13,8 +13,6 @@ import numpy as np
 
 from .pauli import PauliOperator, _check_dense_size
 
-EIGEN_TOL = 1e-10
-
 
 class DegenerateGroundSpaceError(ValueError):
     """Raised when the two lowest eigenvalues are closer than the tolerance.
@@ -97,14 +95,14 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
                         gap=gap, tau=tau)
 
 
-def as_state(vec, *, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Validate a state vector: complex, unit norm within ``tol``."""
+def as_state(vec, *, dim: int | None = None) -> np.ndarray:
+    """Validate a state vector: complex, unit norm within 1e-10."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if dim is not None and vec.size != dim:
         raise DimensionMismatchError(f"state has dim {vec.size}, expected {dim}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm {norm} deviates from 1 by more than {tol}")
+    if not abs(norm - 1.0) <= 1e-10:  # also rejects a NaN norm
+        raise ValueError(f"state norm {norm} deviates from 1 by more than 1e-10")
     return vec
 
 

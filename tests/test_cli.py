@@ -61,7 +61,7 @@ def test_cdf_trace_emitted(tmp_path):
     # C_estimated is the mean of G over the run's own GSE pool: unbiased for
     # the ACDF, with per-shot |G| = W * sqrt(2)
     estimated = np.array([float(r[2]) for r in rows[1:]])
-    spectral, phi0, _ = cli._load_instance(config)
+    spectral, phi0 = cli._load_instance(config)
     approx = build_fourier_approx(spectral.tau * config["epsilon"],
                                   config["eta"] / 8.0)
     inter = record["intermediate"]
@@ -192,6 +192,34 @@ def test_exit_codes(tmp_path, capsys):
                                {"coeff": 0.4, "word": "XI"}]},
         "epsilon": 0.05, "eta": 0.5, "nu": 0.1}))
     assert cli.main(["run", str(degenerate)]) == cli.EXIT_PIPELINE
+
+
+@pytest.mark.parametrize("initial_state,shot_overrides,code", [
+    ({"type": "basis", "index": 8}, None, cli.EXIT_CONFIG),
+    ({"type": "basis", "index": -1}, None, cli.EXIT_CONFIG),
+    ({"type": "basis", "index": 1.5}, None, cli.EXIT_CONFIG),
+    ({"type": "amplitudes", "re": [1.0, 0.0]}, None, cli.EXIT_CONFIG),
+    ({"type": "amplitudes", "re": [1.0] + [0.0] * 7, "im": [0.0]}, None,
+     cli.EXIT_CONFIG),
+    ({"type": "amplitudes", "re": [0.0] * 8}, None, cli.EXIT_CONFIG),
+    ({"type": "overlaps", "p": [0.5, 0.5]}, None, cli.EXIT_CONFIG),
+    ({"type": "overlaps", "p": [1.5, -0.5] + [0.0] * 6}, None, cli.EXIT_CONFIG),
+    ({"type": "plus"}, {"n_s": 0}, cli.EXIT_PIPELINE),
+    ({"type": "plus"}, {"n_b": 0}, cli.EXIT_PIPELINE),
+    ({"type": "plus"}, {"k": 0}, cli.EXIT_PIPELINE),
+    ({"type": "plus"}, {"n_g": -3}, cli.EXIT_PIPELINE),
+])
+def test_exit_codes_for_bad_states_and_overrides(tmp_path, initial_state,
+                                                 shot_overrides, code):
+    """An initial state that does not fit the 3-qubit instance or is no state
+    at all is a config error; a shot override that is not a positive integer fails the
+    pipeline's precondition before any work."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "mode": "gse", "instance": _tfim_instance(),
+        "initial_state": initial_state, "shot_overrides": shot_overrides,
+        "epsilon": 0.05, "eta": 0.5, "nu": 0.1}))
+    assert cli.main(["run", str(path)]) == code
 
 
 def test_parse_errors_carry_field_context():

@@ -15,8 +15,8 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              bracket_iterations, certify, certify_schedule,
                              expectation_table_1d, expectation_table_2d,
                              EvolutionBudget, block_norm_table, g2_estimator,
-                             g_estimator, invert_cdf, sample_J, sample_j_batch,
-                             weighted_stage)
+                             g_estimator, invert_cdf, mom_schedule, sample_J,
+                             sample_j_batch, weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
 from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1, observable,
                            outcome_distribution_1d, sample_blocks)
@@ -558,19 +558,29 @@ def _no_sampling(*args, **kwargs):
     raise _ReachedSampling
 
 
-@pytest.mark.parametrize("kind", ["commuting-pauli", "noncommuting-pauli", "dense"])
+@pytest.mark.parametrize("kind", ["commuting-pauli", "noncommuting-pauli", "dense",
+                                  "degenerate-swap"])
 def test_commutation_check_decision_and_message(tfim3, rng, monkeypatch, kind):
-    """A signed-permutation O forms H O and O H by a gather; the decision and
-    the message are those of the dense products."""
+    """The check works in the eigenbasis; its decision and message are those
+    of the dense ||H O - O H||_F, for signed-permutation and dense O.  The
+    degenerate row swaps the two states of a repeated level: O commutes with
+    H although V^H O V is not diagonal."""
     _, s = tfim3
-    o_mat = {"commuting-pauli": kron_word("XXX"),  # the TFIM parity
-             "noncommuting-pauli": kron_word("ZII"),
-             "dense": random_unitary(rng, 8)}[kind]
+    if kind == "degenerate-swap":
+        # levels 0, 1, 1, 2 on |00>, |01>, |10>, |11>; SWAP exchanges |01>, |10>
+        s = diagonalize(build_operator([(1.0, "II"), (-0.5, "ZI"), (-0.5, "IZ")]))
+        o_mat = np.eye(4)[[0, 2, 1, 3]]
+        o_eig = s.eigenvectors.conj().T @ o_mat @ s.eigenvectors
+        assert np.abs(o_eig - np.diag(np.diag(o_eig))).max() > 0.5
+    else:
+        o_mat = {"commuting-pauli": kron_word("XXX"),  # the TFIM parity
+                 "noncommuting-pauli": kron_word("ZII"),
+                 "dense": random_unitary(rng, 8)}[kind]
     assert (observable(o_mat).columns is None) == (kind == "dense")
     h = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
     comm = np.linalg.norm(h @ o_mat - o_mat @ h)
     commutes = comm <= COMMUTATION_TOL * max(1.0, np.linalg.norm(h))
-    assert commutes == (kind == "commuting-pauli")
+    assert commutes == (kind in ("commuting-pauli", "degenerate-swap"))
     monkeypatch.setattr(estimators, "estimate_denominator", _no_sampling)
     cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
     if commutes:
@@ -681,6 +691,31 @@ def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
         s, phi0, x_good, cfg, nu=cfg.nu / 3)
 
 
+@pytest.mark.parametrize("pipeline", ["commutative", "general", "block"])
+def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
+    """The weighted stage draws mom_schedule's shots at the per-shot bound of
+    its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit."""
+    _, s = variant2q
+    o_mat = build_operator([(1.0, "XI" if pipeline != "commutative" else "II")]
+                           ).matrix()
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37)
+    if pipeline == "commutative":
+        report = estimate_gsprop_commutative(s, phi0, o_mat, cfg)
+    elif pipeline == "general":
+        report = estimate_gsprop_general(s, phi0, o_mat, cfg)
+    else:
+        report = estimate_gsprop_block(s, phi0, embed_block(o_mat, 1.5), cfg)
+    inter = report.intermediate
+    w = inter["total_weight_prop"]
+    bound = {"commutative": 2.0 * w ** 2, "general": 2.0 * w ** 4,
+             "block": 2.0 * 1.5 ** 2 * w ** 4}[pipeline]
+    n_g, k = mom_schedule(bound, cfg.eta, cfg.epsilon / 4.0, cfg.nu / 3.0)
+    assert report.shots_used == (inter["n_s"] * inter["n_b"]
+                                 + inter["n_g"] * inter["k_overlap"] + n_g * k)
+
+
 def test_shot_overrides_respected(variant2q):
     _, s = variant2q
     cfg = EstimationConfig(epsilon=0.2, eta=0.5, nu=0.2, seed=0,
@@ -698,3 +733,14 @@ def test_config_validation():
         EstimationConfig(epsilon=0.1, eta=1.5, nu=0.1)
     with pytest.raises(PreconditionError):
         EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, gamma=-1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_s", 0), ("n_b", 0), ("n_g", -3), ("k", 0),
+    ("n_b", 2.0), ("k", True), ("n_g", "9")])
+def test_shot_overrides_must_be_positive_integers(field, value):
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"{field} must be None or an integer >= 1")):
+        EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, **{field: value})
+    assert getattr(EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1,
+                                    **{field: np.int64(1)}), field) == 1

@@ -350,6 +350,11 @@ def test_embed_block_rejects_large_norm():
         embed_block(np.diag([2.0, -2.0]), 1.0)
 
 
+def test_embed_block_rejects_non_hermitian():
+    with pytest.raises(BlockEncodingError, match="must be Hermitian"):
+        embed_block(np.array([[0.0, 0.5], [0.0, 0.0]]), 1.0)
+
+
 def test_block_success_certain(rng):
     # O^2 = I and alpha = 1 make the post-selection always succeed
     _, s, phi = _random_instance(rng, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe import build_operator, diagonalize, evolve, overlaps
-from gspe.spectral import (DegenerateGroundSpaceError, exact_cdf,
+from gspe.spectral import (DegenerateGroundSpaceError, as_state, exact_cdf,
                            mixed_with_noise, weighted_cdf_2d,
                            weighted_cdf_commuting)
 
@@ -39,6 +39,17 @@ def test_degenerate_ground_space_rejected():
     op = build_operator([(1.0, "ZZ"), (0.4, "XI")])
     with pytest.raises(DegenerateGroundSpaceError):
         diagonalize(op)
+
+
+@pytest.mark.parametrize("vec", [[1.0, 1.0], [np.nan, 0.0]])
+def test_as_state_rejects_non_unit_norm(vec):
+    with pytest.raises(ValueError, match="deviates from 1"):
+        as_state(vec, dim=2)
+
+
+def test_non_hermitian_operator_rejected():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize(np.array([[1.0, 0.5], [0.0, -1.0]]))
 
 
 def test_eigenvector_matrix_unitary(tfim3):
