@@ -64,6 +64,28 @@ def _load_instance(config: dict, gamma: float | None = None):
     raise ConfigError(f"instance: unknown type {kind!r}")
 
 
+def _number(value, field: str, accept, requirement: str) -> float:
+    """``value`` as a float when it is a JSON number that ``accept`` takes;
+    a ConfigError naming ``field`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not accept(float(value)):
+        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
+    return float(value)
+
+
+def _overlap(spec: dict, field: str, default: float) -> float:
+    return _number(spec.get("overlap", default), field,
+                   lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
+def _alpha(spec: dict, field: str) -> float | None:
+    """None (the default normalization) for an absent or null alpha."""
+    if spec.get("alpha") is None:
+        return None
+    return _number(spec["alpha"], field, lambda v: math.isfinite(v) and v > 0.0,
+                   "a finite number > 0 or null")
+
+
 def _initial_state(config: dict, spectral):
     spec = config.get("initial_state", {"type": "plus"})
     kind = spec.get("type", "plus")
@@ -80,7 +102,7 @@ def _initial_state(config: dict, spectral):
         state[index] = 1.0
         return state
     if kind == "ground_mixed":
-        overlap = float(spec.get("overlap", 0.5))
+        overlap = _overlap(spec, "initial_state.overlap", 0.5)
         rng = stage_rng(_resolve_seed(config), "state-prep")
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         return mixed_with_noise(spectral.ground_state(), noise, overlap)
@@ -177,8 +199,7 @@ def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
     elif mode == "gsprop-general":
         report = estimators.estimate_gsprop_general(spectral, phi0, o_mat, cfg)
     else:
-        alpha = config.get("alpha")
-        block = hadamard.embed_block(o_mat, float(alpha) if alpha else None)
+        block = hadamard.embed_block(o_mat, _alpha(config, "alpha"))
         report = estimators.estimate_gsprop_block(spectral, phi0, block, cfg)
     record = _base_record(config, mode)
     return _finish_record(record, report,
@@ -200,8 +221,8 @@ def run_qlss(config: dict) -> dict:
         inst, observable, float(config["epsilon"]),
         float(config.get("nu", 0.1)),
         qlss_opts.get("initial_state_mode", "oracle"),
-        overlap=float(qlss_opts.get("overlap", 0.6)),
-        eta=config.get("eta"), alpha=qlss_opts.get("alpha"),
+        overlap=_overlap(qlss_opts, "qlss.overlap", 0.6),
+        eta=config.get("eta"), alpha=_alpha(qlss_opts, "qlss.alpha"),
         seed=_resolve_seed(config),
         n_g=overrides.get("n_g"), k=overrides.get("k"))
     record = _base_record(config, "qlss")

@@ -1,4 +1,4 @@
-"""Classical estimation stack on top of the Hadamard-test samplers.
+"""Classical estimation stack on top of the Hadamard-test circuit laws.
 
 The pieces, bottom up: importance sampling of the Fourier index J, the
 single-shot estimators G and G2 for the approximate CDFs, mean and
@@ -8,8 +8,8 @@ a public function; the three property pipelines (commuting unitary, general
 unitary via the two-time circuit, block-encoded observable) and the
 applications are short compositions of them.
 
-Shot counting: one "shot" is one bundled sampler invocation (an X run plus a
-Y run at the same time parameters).  Evolution time is accounted per shot as
+Shot counting: one "shot" is an X run plus a Y run at the same time
+parameters.  Evolution time is accounted per shot as
 |j| tau for the one-time circuits and (|j| + |j'|) tau for two-time circuits.
 """
 from __future__ import annotations

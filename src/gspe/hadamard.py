@@ -1,10 +1,12 @@
-"""Hadamard-test circuit families: exact distributions and shot sampling.
+"""Hadamard-test circuit families, each written once as its law.
 
-Every sampler simulates the measurement distribution of the literal circuit
-(pre-measurement state built register by register), never an approximation.
-Vectorized ``draw_*`` helpers reproduce the same laws from the exact
-expectation tables built here; the single-index targets evaluate the same
-moment code, and the test suite pins them against the literal circuits.
+The literal circuits (``outcome_distribution_*``, ``block_circuit_distribution``,
+``generalized_circuit_distribution``) build the pre-measurement state
+register by register and return its exact measurement distribution.  The
+exact-moment tables built here give the same laws for every time index at
+once, and the vectorized ``draw_*`` helpers draw shots from them; the
+single-index targets evaluate the same moment code, and the test suite pins
+tables and draws against the literal circuits.
 
 Sign conventions: with W = I the outcome 0 maps to X = +1; with W = S
 (phase gate diag(1, i)) the outcome 0 maps to Y = -1, so that
@@ -12,7 +14,9 @@ E[X + iY] equals the matrix element targeted by each circuit family.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,28 +36,30 @@ class BlockEncodingError(ValueError):
 
 
 @dataclass(frozen=True)
-class Shot:
-    """One Hadamard-test draw.
+class BlockEncoding:
+    """Hermitian O and its normalization alpha >= ||O||_2: the unitary on one
+    ancilla qubit + system whose top-left block is O/alpha.
 
-    ``z`` bundles one X run (W = I) and one Y run (W = S) at the same time
-    parameters, so z lies in {+-1 +- i} for unitary circuits and in
-    {0, +-alpha} + i{0, +-alpha} for the post-selected block-encoded circuit.
+    The block circuit's shot law reads only O and alpha; ``unitary`` is
+    formed on first read, for the literal circuit simulations.
     """
 
-    z: complex
-
-
-@dataclass(frozen=True)
-class BlockEncoding:
-    """Unitary on one ancilla qubit + system whose top-left block is O/alpha."""
-
-    unitary: np.ndarray
-    alpha: float
     operator: np.ndarray
+    alpha: float
 
     @property
     def system_dim(self) -> int:
         return self.operator.shape[0]
+
+    @functools.cached_property
+    def unitary(self) -> np.ndarray:
+        """U = [[O/a, R], [R, -O/a]] with R = sqrt(I - O^2/a^2), built
+        through the eigendecomposition of O."""
+        evals, evecs = np.linalg.eigh(self.operator)
+        scaled = np.clip(evals / self.alpha, -1.0, 1.0)
+        root = evecs @ np.diag(np.sqrt(1.0 - scaled ** 2)) @ evecs.conj().T
+        top = self.operator / self.alpha
+        return np.block([[top, root], [root, -top]])
 
 
 def as_matrix(op, dim: int | None = None) -> np.ndarray:
@@ -315,53 +321,32 @@ def _xy_distribution(phi0, applied):
     return {"X": (px0, px1), "Y": (py1, py0)}
 
 
-def _draw_pm1(p_plus: float, rng) -> int:
-    return 1 if rng.random() < p_plus else -1
-
-
-def _bundle(dist, rng) -> Shot:
-    x = _draw_pm1(dist["X"][0], rng)
-    y = _draw_pm1(dist["Y"][0], rng)
-    return Shot(z=complex(x, y))
-
-
-def sample_1d(spectral, phi0, j: int, rng) -> Shot:
-    return _bundle(outcome_distribution_1d(spectral, phi0, j), rng)
-
-
-def sample_O(spectral, phi0, o_matrix, j: int, rng) -> Shot:
-    return _bundle(outcome_distribution_O(spectral, phi0, o_matrix, j), rng)
-
-
-def sample_2d(spectral, phi0, o_matrix, j: int, j2: int, rng) -> Shot:
-    return _bundle(outcome_distribution_2d(spectral, phi0, o_matrix, j, j2), rng)
-
-
 # --- block encoding ----------------------------------------------------------
 
 def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
-    """One-ancilla block encoding U = [[O/a, R], [R, -O/a]] with
-    R = sqrt(I - O^2/a^2), built through the eigendecomposition of O.
+    """Block encoding of a Hermitian O; ``alpha`` defaults to max(1, ||O||_2),
+    read off the eigenvalues of O.
 
-    ``alpha`` defaults to max(1, ||O||_2), read off the eigenvalues of O.
+    With T = O/alpha and R = sqrt(I - clip(T)^2) from one eigensystem, T and
+    R commute, so U^H U - I is T^2 + R^2 - I on both diagonal blocks and its
+    2-norm is max(0, (||O||_2/alpha)^2 - 1): the unitarity check needs no U.
     """
+    if alpha is not None and (isinstance(alpha, bool)
+                              or not isinstance(alpha, numbers.Real)
+                              or not math.isfinite(alpha) or alpha <= 0):
+        raise BlockEncodingError(f"alpha must be a finite number > 0, got {alpha!r}")
     o_mat = as_matrix(operator)
     if np.linalg.norm(o_mat - o_mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(o_mat)):
         raise BlockEncodingError("block-encoded observable must be Hermitian")
-    evals, evecs = np.linalg.eigh(o_mat)
-    norm = float(np.abs(evals).max())
+    norm = float(np.abs(np.linalg.eigvalsh(o_mat)).max())
     if alpha is None:
         alpha = max(1.0, norm)
     if norm > alpha + 1e-12:
         raise BlockEncodingError(f"||O|| = {norm:.6g} exceeds alpha = {alpha}")
-    scaled = np.clip(evals / alpha, -1.0, 1.0)
-    root = evecs @ np.diag(np.sqrt(1.0 - scaled ** 2)) @ evecs.conj().T
-    top = o_mat / alpha
-    unitary = np.block([[top, root], [root, -top]])
-    dev = _unitarity_deviation(observable(unitary))
+    dev = max(0.0, (norm / alpha) ** 2 - 1.0)
     if dev > UNITARY_TOL:
         raise BlockEncodingError(f"embedding is not unitary (deviation {dev:.3e})")
-    return BlockEncoding(unitary=unitary, alpha=float(alpha), operator=o_mat)
+    return BlockEncoding(operator=o_mat, alpha=float(alpha))
 
 
 def _system_propagator(spectral: SpectralData, t: float) -> np.ndarray:
@@ -408,34 +393,6 @@ def block_success_prob(spectral, phi0, block: BlockEncoding, t1: float) -> float
     return 0.5 * (1.0 + nsq / block.alpha ** 2)
 
 
-def _draw_three(p_plus: float, p_minus: float, value: float, rng) -> float:
-    u = rng.random()
-    if u < p_plus:
-        return value
-    if u < p_plus + p_minus:
-        return -value
-    return 0.0
-
-
-def sample_block(spectral, phi0, block: BlockEncoding, t1: float, t2: float,
-                 w: str, rng) -> Shot:
-    """Single-W draw from the post-selected circuit; returns the X component
-    (w='I') or i times the Y component (w='S')."""
-    p_fail, p_plus, p_minus = block_circuit_distribution(
-        spectral, phi0, block, t1, t2, w)
-    val = _draw_three(p_plus, p_minus, block.alpha, rng)
-    z = complex(val, 0.0) if w == "I" else complex(0.0, val)
-    return Shot(z=z)
-
-
-def sample_block_pair(spectral, phi0, block: BlockEncoding, t1: float,
-                      t2: float, rng) -> Shot:
-    """X run and Y run bundled at the same (t1, t2)."""
-    x = sample_block(spectral, phi0, block, t1, t2, "I", rng).z.real
-    y = sample_block(spectral, phi0, block, t1, t2, "S", rng).z.imag
-    return Shot(z=complex(x, y))
-
-
 # --- generalized (variance-reduced) block test -------------------------------
 
 def generalized_circuit_distribution(spectral, phi0, block: BlockEncoding,
@@ -467,20 +424,6 @@ def generalized_circuit_distribution(spectral, phi0, block: BlockEncoding,
     if w == "S":
         return p_fail, out0, out1
     return p_fail, out1, out0
-
-
-def sample_generalized(spectral, phi0, block: BlockEncoding, t1: float,
-                       t2: float, a: float, rng) -> Shot:
-    """Bundled X and Y draws from the generalized-gate circuit."""
-    b = math.sqrt(1.0 - a * a)
-    value = block.alpha / (2.0 * a * b)
-    _, pxp, pxm = generalized_circuit_distribution(
-        spectral, phi0, block, t1, t2, a, "I")
-    _, pyp, pym = generalized_circuit_distribution(
-        spectral, phi0, block, t1, t2, a, "S")
-    x = _draw_three(pxp, pxm, value, rng)
-    y = _draw_three(pyp, pym, value, rng)
-    return Shot(z=complex(x, y))
 
 
 def generalized_second_moment(nsq: float, alpha: float, a: float) -> float:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gspe import EstimationConfig, build_operator, diagonalize, estimate_overlap
+from gspe import (BlockEncoding, EstimationConfig, build_operator, diagonalize,
+                  embed_block, estimate_gsprop_block, estimate_overlap)
 from gspe.applications import (LinearSystemInstance, MajoranaIndex,
                                annihilation_matrix, assemble_observable,
                                build_gap_amplified, build_hg,
@@ -161,6 +162,32 @@ def test_qlss_shares_the_overlap_stage(kappa4):
                            gamma=report.intermediate["gamma"])
     assert report.intermediate["p0_bar"] == estimate_overlap(
         s, phi0, report.intermediate["x_good"], cfg, nu=nu / 2)
+
+
+def test_block_pipelines_never_form_the_unitary(kappa4, monkeypatch):
+    """The block-circuit law reads only O and alpha: with
+    BlockEncoding.unitary made to raise, the block pipeline and qlss still
+    run and give the same reports."""
+    s = diagonalize(build_operator([(1.0, "ZZ"), (0.4, "XI"), (0.2, "ZI")]))
+    phi0 = mixed_with_noise(s.ground_state(), np.arange(1.0, 5.0) * (1 + 1j), 0.6)
+    o_mat = build_operator([(0.6, "ZI"), (0.3, "XX")]).matrix()
+    cfg = EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, seed=8)
+
+    def run():
+        return (estimate_gsprop_block(s, phi0, embed_block(o_mat, 1.2), cfg),
+                qlss_estimate(kappa4, build_operator([(1.0, "ZI")]), 0.1, 0.1,
+                              "oracle", overlap=0.6, seed=3))
+
+    want = run()
+
+    def unavailable(self):
+        raise AssertionError("the block unitary was formed")
+
+    monkeypatch.setattr(BlockEncoding, "unitary", property(unavailable))
+    for got, ref in zip(run(), want):
+        assert got.value == ref.value and got.shots_used == ref.shots_used
+        assert got.budget == ref.budget
+        assert repr(got.intermediate) == repr(ref.intermediate)
 
 
 def test_qlss_observable_annihilates_kernel_partner(kappa4):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from gspe.serialization import (ConfigError, load_json, parse_linear_system,
                                 parse_operator, parse_synthetic, write_record)
 
 from conftest import TFIM3_TERMS
+
+BUNDLE = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _tfim_instance():
@@ -222,6 +225,78 @@ def test_exit_codes_for_bad_states_and_overrides(tmp_path, initial_state,
     assert cli.main(["run", str(path)]) == code
 
 
+def _block_config(**extra):
+    return {"mode": "gsprop-block",
+            "instance": {"type": "pauli", "n": 2,
+                         "terms": [{"coeff": 1.0, "word": "ZZ"},
+                                   {"coeff": 0.4, "word": "XI"},
+                                   {"coeff": 0.2, "word": "ZI"}]},
+            "initial_state": {"type": "ground_mixed", "overlap": 0.6},
+            "observable": {"n": 2, "terms": [{"coeff": 0.6, "word": "ZI"},
+                                             {"coeff": 0.3, "word": "XX"}]},
+            "epsilon": 0.1, "eta": 0.5, "nu": 0.1, "seed": 3, **extra}
+
+
+def _qlss_config(**qlss):
+    config = load_json(str(BUNDLE / "qlss-kappa4.json"))
+    config["qlss"].update(qlss)
+    del config["output"]
+    return config
+
+
+def _ground_mixed(overlap):
+    return {"type": "ground_mixed", "overlap": overlap}
+
+
+# name -> (config, the field its config error names)
+BAD_NUMBER_CASES = {
+    "alpha-0": (_block_config(alpha=0), "alpha"),
+    "alpha-negative": (_block_config(alpha=-1.5), "alpha"),
+    "alpha-string": (_block_config(alpha="abc"), "alpha"),
+    "alpha-inf": (_block_config(alpha=math.inf), "alpha"),
+    "alpha-nan": (_block_config(alpha=math.nan), "alpha"),
+    "alpha-bool": (_block_config(alpha=True), "alpha"),
+    "qlss-alpha-0": (_qlss_config(alpha=0), "qlss.alpha"),
+    "qlss-alpha-string": (_qlss_config(alpha="abc"), "qlss.alpha"),
+    "qlss-alpha-inf": (_qlss_config(alpha=math.inf), "qlss.alpha"),
+    "overlap-above-1": (_block_config(initial_state=_ground_mixed(1.5)),
+                        "initial_state.overlap"),
+    "overlap-negative": (_block_config(initial_state=_ground_mixed(-0.2)),
+                         "initial_state.overlap"),
+    "overlap-string": (_block_config(initial_state=_ground_mixed("half")),
+                       "initial_state.overlap"),
+    "qlss-overlap-above-1": (_qlss_config(overlap=1.5), "qlss.overlap"),
+    "qlss-overlap-negative": (_qlss_config(overlap=-0.2), "qlss.overlap"),
+    "qlss-overlap-null": (_qlss_config(overlap=None), "qlss.overlap"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMBER_CASES))
+def test_bad_alpha_and_overlap_are_config_errors(tmp_path, capsys, case):
+    config, field = BAD_NUMBER_CASES[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [None, 1.5])
+def test_block_alpha_null_or_valid_runs(tmp_path, alpha):
+    path = tmp_path / "c.json"
+    output = tmp_path / "r.json"
+    path.write_text(json.dumps(_block_config(alpha=alpha, output=str(output))))
+    assert cli.main(["run", str(path)]) == 0
+    assert load_json(str(output))["intermediate"]["alpha"] == (alpha or 1.0)
+
+
+@pytest.mark.parametrize("overlap", [0, 1.0])
+def test_overlap_ends_are_valid(overlap):
+    config = _block_config(initial_state=_ground_mixed(overlap))
+    spectral, phi0 = cli._load_instance(config)
+    ground = abs(spectral.ground_state().conj() @ phi0) ** 2
+    assert ground == pytest.approx(overlap, abs=1e-12)
+
+
 def test_parse_errors_carry_field_context():
     with pytest.raises(ConfigError, match="observable"):
         parse_operator({"n": 2}, "observable")
@@ -236,16 +311,14 @@ def test_parse_errors_carry_field_context():
 def test_bundled_reference_configs(tmp_path, monkeypatch):
     """The shipped configs run end to end; the energy one lands within its
     declared epsilon for the bundled reference seed."""
-    import pathlib
-    bundle = pathlib.Path(__file__).resolve().parents[1] / "configs"
     monkeypatch.chdir(tmp_path)
-    gse_config = load_json(str(bundle / "tfim3-gse.json"))
+    gse_config = load_json(str(BUNDLE / "tfim3-gse.json"))
     record = cli.run(gse_config)
     assert record["error"] <= gse_config["epsilon"]
-    sweep_config = load_json(str(bundle / "sweep-gamma.json"))
+    sweep_config = load_json(str(BUNDLE / "sweep-gamma.json"))
     records = cli.sweep(sweep_config)
     assert len(records) == 3
-    qlss_config = load_json(str(bundle / "qlss-kappa4.json"))
+    qlss_config = load_json(str(BUNDLE / "qlss-kappa4.json"))
     record = cli.run(qlss_config)
     assert record["error"] <= qlss_config["epsilon"]
 

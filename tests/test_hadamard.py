@@ -7,8 +7,9 @@ import pytest
 from scipy import linalg as sla
 
 from gspe import PauliString, build_operator, diagonalize, embed_block
-from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncodingError,
-                           NotUnitaryError, block_circuit_distribution, block_norm_table,
+from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
+                           BlockEncodingError, NotUnitaryError,
+                           block_circuit_distribution, block_norm_table,
                            block_success_prob, draw_block_xy, draw_xy_pm1,
                            exact_expectation_1d, exact_expectation_2d,
                            exact_expectation_block, exact_expectation_O,
@@ -17,9 +18,7 @@ from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncodingError,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
                            outcome_distribution_O, observable, phase_block,
-                           require_unitary, sample_1d, sample_block,
-                           sample_block_pair, sample_generalized, sample_blocks,
-                           sample_O, table_states)
+                           require_unitary, sample_blocks, table_states)
 
 from conftest import (dense_from_terms, kron_word, random_hermitian,
                       random_state, random_unitary)
@@ -223,6 +222,41 @@ def test_unitarity_decision_table(case):
             embed_block(alpha * u, alpha)
 
 
+def _dilation_cases():
+    """(O, alpha): every UNITARITY_CASES matrix as embedded above, then random
+    Hermitian O of norm 1 at alpha below, at and above it."""
+    for u, _, _ in UNITARITY_CASES.values():
+        yield 1e-3 * u, 1e-3
+    gen = np.random.default_rng(41)
+    for dim in (2, 5, 8):
+        o = random_hermitian(gen, dim)
+        for alpha in (0.5, 0.99, 1.0 - 5e-13, 1.0, 1.0 + 1e-9, 1.7):
+            yield o, alpha
+
+
+def test_eigenvalue_deviation_equals_dilation_gram():
+    """max(0, (||O||_2/alpha)^2 - 1), the deviation embed_block reads off the
+    eigenvalues of O, is ||U^H U - I||_2 of the dilation it stands for."""
+    for o, alpha in _dilation_cases():
+        norm = np.abs(np.linalg.eigvalsh(o)).max()
+        dev = max(0.0, (norm / alpha) ** 2 - 1.0)
+        gram = _gram_deviation(BlockEncoding(operator=o, alpha=alpha).unitary)
+        assert abs(dev - np.linalg.norm(gram, 2)) <= 1e-12
+        if norm <= alpha + 1e-12:
+            if dev > UNITARY_TOL:
+                with pytest.raises(BlockEncodingError,
+                                   match=re.escape(f"deviation {dev:.3e}")):
+                    embed_block(o, alpha)
+            else:
+                assert embed_block(o, alpha).alpha == alpha
+
+
+@pytest.mark.parametrize("alpha", [0, -1.0, math.inf, math.nan, True, "2"])
+def test_embed_block_rejects_bad_alpha(alpha):
+    with pytest.raises(BlockEncodingError, match="alpha must be a finite number"):
+        embed_block(np.diag([0.5, -0.5]), alpha)
+
+
 def test_signed_permutations_take_the_structured_path():
     for case, (u, _, _) in UNITARITY_CASES.items():
         assert (observable(u).columns is not None) == case.startswith("signed")
@@ -241,21 +275,20 @@ def test_require_unitary_rejects_non_square():
         require_unitary(np.eye(4)[:, :2])
 
 
-def test_observable_must_be_unitary(rng, z_system):
+def test_observable_must_be_unitary(z_system):
     s, plus = z_system
     with pytest.raises(NotUnitaryError):
-        sample_O(s, plus, 0.5 * np.eye(2), 1, rng)
+        outcome_distribution_O(s, plus, 0.5 * np.eye(2), 1)
 
 
 # --- sampling laws -------------------------------------------------------------
 
-def test_sample_alphabet_and_certain_case(rng, z_system):
+def test_zero_time_circuit_is_certain(z_system):
+    # j = 0 applies no evolution: X = +1 surely, Y = +-1 with equal odds
     s, plus = z_system
-    shot = sample_1d(s, plus, 0, rng)
-    assert shot.z.real == 1.0 and shot.z.imag in (-1.0, 1.0)
-    for j in (1, 3):
-        z = sample_1d(s, plus, j, rng).z
-        assert z.real in (-1.0, 1.0) and z.imag in (-1.0, 1.0)
+    dist = outcome_distribution_1d(s, plus, 0)
+    assert dist["X"] == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert dist["Y"] == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_fast_path_matches_circuit_path(rng):
@@ -478,16 +511,6 @@ def test_block_success_frequency(rng):
     assert set(np.unique(zs.real)).issubset({-alpha, 0.0, alpha})
 
 
-def test_sample_block_alphabet(rng):
-    _, s, phi = _random_instance(rng, 1)
-    b = embed_block(np.diag([0.8, -0.5]), 1.0)
-    shot = sample_block(s, phi, b, 0.5, 0.2, "I", rng)
-    assert shot.z.real in (-1.0, 0.0, 1.0) and shot.z.imag == 0.0
-    shot = sample_block_pair(s, phi, b, 0.5, 0.2, rng)
-    assert shot.z.real in (-1.0, 0.0, 1.0)
-    assert shot.z.imag in (-1.0, 0.0, 1.0)
-
-
 # --- generalized (variance-reduced) test ----------------------------------------
 
 def test_generalized_reduces_to_hadamard(rng):
@@ -556,12 +579,3 @@ def test_generalized_variance_reduction(rng):
         hadamard_m2 = generalized_second_moment(nsq, alpha, 1 / math.sqrt(2))
         assert tuned <= hadamard_m2 + 1e-12
 
-
-def test_sample_generalized_alphabet(rng):
-    _, s, phi = _random_instance(rng, 1)
-    b = embed_block(np.diag([0.9, -0.7]), 2.0)
-    a = 0.5
-    value = 2.0 / (2 * a * math.sqrt(1 - a * a))
-    shot = sample_generalized(s, phi, b, 0.3, 0.1, a, rng)
-    assert shot.z.real in (-value, 0.0, value)
-    assert shot.z.imag in (-value, 0.0, value)

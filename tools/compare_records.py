@@ -6,8 +6,9 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 config runs as ``python -m gspe.cli`` with that tree first on PYTHONPATH, in
 its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
 ``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, the shipped ``sweep-gamma`` sweep,
-and small general, block (default alpha and alpha = 1.5), commutative and
-1RDM ((p, q) = (0, 1) and (0, 0)) configs built below.  For every output file
+and small general, block (default alpha, alpha = 1.5, and ||O||_2 > 1 with
+the default alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and
+(0, 0)) configs built below.  For every output file
 it prints ``identical`` or the largest relative difference between
 corresponding numbers.  The exit code is 0 when every file is identical.
 """
@@ -66,6 +67,8 @@ def cases():
         "general": _tfim3("gsprop-general", _observable((1.0, "XII"))),
         "block": _tfim3("gsprop-block", hermitian),
         "block-alpha1.5": _tfim3("gsprop-block", hermitian, alpha=1.5),
+        "block-norm1.24": _tfim3("gsprop-block",
+                                 _observable((1.2, "ZII"), (0.3, "XXI"))),
         "commutative": _tfim3("gsprop-commutative", _observable((1.0, "XXX"))),
         "rdm-0-1": _rdm(0, 1),
         "rdm-0-0": _rdm(0, 0),
