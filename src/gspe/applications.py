@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, hadamard
-from .estimators import (EstimateReport, EstimationConfig, PreconditionError,
-                         mom_schedule)
+from .estimators import EstimateReport, EstimationConfig, PreconditionError
 from .pauli import PauliString, multiply_strings
 from .seeding import stage_rng
 from .spectral import SpectralData, diagonalize, mixed_with_noise, normalized
@@ -277,29 +276,23 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
     combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
               (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
-    to_estimate = [c for c in combos if c[1] != c[2]]
-    nu_each = cfg.nu / (3.0 * max(1, len(to_estimate)))
-    n_g, k = mom_schedule(front.two_time_bound(), cfg.eta, cfg.epsilon / 4.0,
-                          nu_each, cfg.n_g, cfg.k)
+    count = max(1, sum(a_idx != b_idx for _, a_idx, b_idx in combos))
     total = 0.0 + 0.0j
-    shots = front.shots
     d = front.approx.d
     # one Psi for every product; each table is sampled before the next is built
-    states = estimators.table_states(spectral, phi0, d, phases=front.take_phases())
+    states = hadamard.table_states(spectral, phi0, d, phases=front.take_phases())
     for stage, (weight, a_idx, b_idx) in enumerate(combos):
         if a_idx == b_idx:
             total += weight  # gamma_a^2 = identity, expectation exactly 1
             continue
         phase, string = majorana_product(a_idx, b_idx, n_modes)
-        e_table = estimators.expectation_table_2d(spectral, phi0, string, d,
-                                                  states=states)
-        num = estimators.weighted_stage(
-            front.approx, e_table, front.x_good, n_g, k,
-            stage_rng(cfg.seed, "weighted", index=stage), front.budget,
-            spectral.tau)
+        e_table = hadamard.expectation_table_2d(spectral, phi0, string, d,
+                                                states=states)
+        num = front.weighted(cfg, e_table, spectral.tau,
+                             nu=cfg.nu / (3.0 * count), index=stage)
         total += weight * phase * (num / front.p0_bar)
-        shots += n_g * k
     return EstimateReport(
-        value=total / 4.0, shots_used=shots, budget=front.budget, config=cfg,
+        value=total / 4.0, shots_used=front.budget.shots, budget=front.budget,
+        config=cfg,
         intermediate={key: front.intermediate[key]
                       for key in ("x_good", "p0_bar", "d_prop", "gamma")})

@@ -25,7 +25,7 @@ import numpy as np
 from . import applications, estimators, fourier, hadamard, serialization
 from .estimators import EstimationConfig
 from .seeding import stage_rng, stage_sequence
-from .serialization import ConfigError
+from .serialization import ConfigError, parse_number
 from .spectral import diagonalize, exact_cdf, mixed_with_noise, normalized, overlaps
 
 EXIT_CONFIG = 2
@@ -37,21 +37,31 @@ MODES = ("gse", "gsprop-commutative", "gsprop-general", "gsprop-block",
 
 def _resolve_seed(config: dict) -> int:
     env = os.environ.get("GSPE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GSPE_SEED={env!r} is not an integer") from exc
-    return int(config.get("seed", 0))
+    if env is None:
+        return _integer(config.get("seed", 0), "seed", lambda v: v >= 0,
+                        "an integer >= 0")
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = env
+    return _integer(seed, "GSPE_SEED", lambda v: v >= 0, "an integer >= 0")
 
 
-def _load_instance(config: dict, gamma: float | None = None):
-    """Returns (spectral, phi0) for Hamiltonian modes."""
+def _instance_spec(config: dict) -> dict:
+    """The instance object, read from its file when given as a path."""
     spec = config.get("instance")
     if spec is None:
         raise ConfigError("config: missing instance")
     if isinstance(spec, str):
         spec = serialization.load_json(spec)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"instance must be an object or a file name, got {spec!r}")
+    return spec
+
+
+def _load_instance(config: dict, gamma: float | None = None):
+    """Returns (spectral, phi0) for Hamiltonian modes."""
+    spec = _instance_spec(config)
     kind = spec.get("type", "pauli")
     if kind == "synthetic":
         operator, weights = serialization.parse_synthetic(spec, gamma)
@@ -64,40 +74,67 @@ def _load_instance(config: dict, gamma: float | None = None):
     raise ConfigError(f"instance: unknown type {kind!r}")
 
 
-def _number(value, field: str, accept, requirement: str) -> float:
-    """``value`` as a float when it is a JSON number that ``accept`` takes;
-    a ConfigError naming ``field`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not accept(float(value)):
+def _integer(value, field: str, accept=lambda v: True,
+             requirement: str = "an integer") -> int:
+    """``value`` when it is a JSON integer that ``accept`` takes; a
+    ConfigError naming ``field`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or not accept(value):
         raise ConfigError(f"{field} must be {requirement}, got {value!r}")
-    return float(value)
+    return value
+
+
+def _real(spec: dict, key: str, default=None, field: str | None = None) -> float:
+    """``spec[key]`` (``default`` when absent and given) as a float.  Only the
+    JSON type is checked here; ranges are the pipeline's preconditions."""
+    if key not in spec and default is not None:
+        return default
+    if key not in spec:
+        raise ConfigError(f"config: missing field {key!r}")
+    return parse_number(spec[key], field or key)
+
+
+def _numbers(values, field: str) -> list:
+    """``values`` unchanged when it is a JSON list of numbers."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{field} must be a list of numbers, got {values!r}")
+    for value in values:
+        parse_number(value, field, requirement="a list of numbers")
+    return values
+
+
+def _section(config: dict, key: str) -> dict:
+    """``config[key]`` when it is a JSON object; {} when absent or null."""
+    value = config.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def _overlap(spec: dict, field: str, default: float) -> float:
-    return _number(spec.get("overlap", default), field,
-                   lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+    return parse_number(spec.get("overlap", default), field,
+                        lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 
 
 def _alpha(spec: dict, field: str) -> float | None:
     """None (the default normalization) for an absent or null alpha."""
     if spec.get("alpha") is None:
         return None
-    return _number(spec["alpha"], field, lambda v: math.isfinite(v) and v > 0.0,
-                   "a finite number > 0 or null")
+    return parse_number(spec["alpha"], field,
+                        lambda v: math.isfinite(v) and v > 0.0,
+                        "a finite number > 0 or null")
 
 
 def _initial_state(config: dict, spectral):
-    spec = config.get("initial_state", {"type": "plus"})
+    spec = _section(config, "initial_state")
     kind = spec.get("type", "plus")
     dim = spectral.dim
     if kind == "plus":
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     if kind == "basis":
-        index = spec.get("index", 0)
-        if isinstance(index, bool) or not isinstance(index, int) \
-                or not 0 <= index < dim:
-            raise ConfigError(f"initial_state: basis index must be an integer "
-                              f"in [0, {dim}), got {index!r}")
+        index = _integer(spec.get("index", 0), "initial_state.index",
+                         lambda v: 0 <= v < dim, f"an integer in [0, {dim})")
         state = np.zeros(dim, dtype=complex)
         state[index] = 1.0
         return state
@@ -107,14 +144,16 @@ def _initial_state(config: dict, spectral):
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         return mixed_with_noise(spectral.ground_state(), noise, overlap)
     if kind == "amplitudes":
-        re = np.array(spec.get("re", []), dtype=float)
-        im = np.array(spec.get("im", np.zeros_like(re)), dtype=float)
+        re = np.array(_numbers(spec.get("re", []), "initial_state.re"), dtype=float)
+        im = np.array(_numbers(spec.get("im", [0.0] * re.size), "initial_state.im"),
+                      dtype=float)
         if re.shape != (dim,) or im.shape != (dim,) or not (re.any() or im.any()):
             raise ConfigError(f"initial_state: amplitudes re and im must have "
                               f"length {dim} and not all be zero")
         return normalized(re + 1j * im)
     if kind == "overlaps":
-        weights = np.array(spec.get("p", []), dtype=float)
+        weights = np.array(_numbers(spec.get("p", []), "initial_state.p"),
+                           dtype=float)
         if weights.size != dim or abs(weights.sum() - 1.0) > 1e-9 \
                 or weights.min() < 0.0:
             raise ConfigError("initial_state: overlaps must be nonnegative, sum "
@@ -124,17 +163,15 @@ def _initial_state(config: dict, spectral):
 
 
 def _estimation_config(config: dict, gamma_override=None) -> EstimationConfig:
-    overrides = config.get("shot_overrides", {}) or {}
-    try:
-        return EstimationConfig(
-            epsilon=float(config["epsilon"]), eta=float(config["eta"]),
-            nu=float(config.get("nu", 0.1)), seed=_resolve_seed(config),
-            gamma=gamma_override if gamma_override is not None
-            else config.get("gamma_override"),
-            n_s=overrides.get("n_s"), n_b=overrides.get("n_b"),
-            n_g=overrides.get("n_g"), k=overrides.get("k"))
-    except KeyError as exc:
-        raise ConfigError(f"config: missing field {exc}") from exc
+    overrides = _section(config, "shot_overrides")
+    if gamma_override is None and config.get("gamma_override") is not None:
+        gamma_override = _real(config, "gamma_override")
+    return EstimationConfig(
+        epsilon=_real(config, "epsilon"), eta=_real(config, "eta"),
+        nu=_real(config, "nu", 0.1), seed=_resolve_seed(config),
+        gamma=gamma_override,
+        n_s=overrides.get("n_s"), n_b=overrides.get("n_b"),
+        n_g=overrides.get("n_g"), k=overrides.get("k"))
 
 
 def _base_record(config: dict, mode: str) -> dict:
@@ -207,22 +244,20 @@ def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
 
 
 def run_qlss(config: dict) -> dict:
-    spec = config.get("instance")
-    if isinstance(spec, str):
-        spec = serialization.load_json(spec)
-    if spec is None or spec.get("type") != "linear_system":
+    spec = _instance_spec(config)
+    if spec.get("type") != "linear_system":
         raise ConfigError('qlss mode needs instance {"type": "linear_system", ...}')
     inst = serialization.parse_linear_system(spec)
     observable = serialization.parse_operator(config.get("observable") or {},
                                               "observable")
-    qlss_opts = config.get("qlss", {}) or {}
-    overrides = config.get("shot_overrides", {}) or {}
+    qlss_opts = _section(config, "qlss")
+    overrides = _section(config, "shot_overrides")
     report = applications.qlss_estimate(
-        inst, observable, float(config["epsilon"]),
-        float(config.get("nu", 0.1)),
+        inst, observable, _real(config, "epsilon"), _real(config, "nu", 0.1),
         qlss_opts.get("initial_state_mode", "oracle"),
         overlap=_overlap(qlss_opts, "qlss.overlap", 0.6),
-        eta=config.get("eta"), alpha=_alpha(qlss_opts, "qlss.alpha"),
+        eta=None if config.get("eta") is None else _real(config, "eta"),
+        alpha=_alpha(qlss_opts, "qlss.alpha"),
         seed=_resolve_seed(config),
         n_g=overrides.get("n_g"), k=overrides.get("k"))
     record = _base_record(config, "qlss")
@@ -232,11 +267,11 @@ def run_qlss(config: dict) -> dict:
 def run_rdm(config: dict) -> dict:
     spectral, phi0 = _load_instance(config)
     cfg = _estimation_config(config)
-    rdm = config.get("rdm") or {}
-    try:
-        p, q = int(rdm["p"]), int(rdm["q"])
-    except KeyError as exc:
-        raise ConfigError(f"rdm mode needs field rdm.{exc.args[0]}") from exc
+    rdm = _section(config, "rdm")
+    for key in ("p", "q"):
+        if key not in rdm:
+            raise ConfigError(f"rdm mode needs field rdm.{key}")
+    p, q = (_integer(rdm[key], f"rdm.{key}") for key in ("p", "q"))
     n_modes = int(round(math.log2(spectral.dim)))
     report = applications.estimate_1rdm_entry(spectral, phi0, p, q, cfg)
     exact = applications.exact_1rdm_entry(spectral, p, q, n_modes)
@@ -285,9 +320,9 @@ def run(config: dict) -> dict:
     elif mode == "rdm":
         record = run_rdm(config)
     elif mode == "fourier-check":
-        fspec = config.get("fourier") or {}
-        record = run_fourier_check(float(fspec.get("delta", 0.2)),
-                                   float(fspec.get("epsilon", 0.01)),
+        fspec = _section(config, "fourier")
+        record = run_fourier_check(_real(fspec, "delta", 0.2, "fourier.delta"),
+                                   _real(fspec, "epsilon", 0.01, "fourier.epsilon"),
                                    fspec.get("out"))
     else:
         record = _RUNNERS[mode](config)
@@ -303,9 +338,9 @@ def run(config: dict) -> dict:
 
 def sweep(config: dict) -> list[dict]:
     """Grid runs over {gamma, epsilon, eta}; returns one record per point."""
-    grid = config.get("sweep") or {}
-    axes = [(key, list(grid[key])) for key in ("gamma", "epsilon", "eta")
-            if key in grid and grid[key]]
+    grid = _section(config, "sweep")
+    axes = [(key, _numbers(grid[key], f"sweep.{key}"))
+            for key in ("gamma", "epsilon", "eta") if key in grid and grid[key]]
     if not axes:
         raise ConfigError("sweep: empty grid (declare gamma/epsilon/eta lists)")
     base = {k: v for k, v in config.items() if k not in ("sweep", "output")}

@@ -75,12 +75,15 @@ class EstimationConfig:
 @dataclass
 class EvolutionBudget:
     """Largest single evolution time and accumulated total, both in the
-    unnormalized time unit of the Hamiltonian."""
+    unnormalized time unit of the Hamiltonian, and the shots they came from."""
 
     max_time: float = 0.0
     total_time: float = 0.0
+    shots: int = field(default=0, init=False)
 
     def add_times(self, times: np.ndarray) -> None:
+        """Spend the shots whose evolution times are ``times``, one each."""
+        self.shots += times.size
         if times.size:
             self.max_time = max(self.max_time, float(times.max()))
             self.total_time += float(times.sum())
@@ -295,10 +298,11 @@ def certify(approx: FourierApprox, js, zs, x: float, eta: float,
 SEARCH_PAD = 3.0  # bracket extension beyond +-pi/3, in units of delta
 
 
-def bracket_iterations(delta: float, width: float | None = None) -> int:
-    """Iteration count of the shifted-midpoint bisection: each step maps the
-    bracket width w to w/2 + (2/3) delta until it reaches 2 delta."""
-    w = width if width is not None else 2.0 * math.pi / 3.0 + 2 * SEARCH_PAD * delta
+def bracket_iterations(delta: float) -> int:
+    """Iteration count of the shifted-midpoint bisection from the padded
+    bracket: each step maps the width w to w/2 + (2/3) delta until it reaches
+    2 delta."""
+    w = 2.0 * math.pi / 3.0 + 2 * SEARCH_PAD * delta
     count = 0
     while w > 2.0 * delta:
         w = 0.5 * w + (2.0 / 3.0) * delta
@@ -324,7 +328,7 @@ def _invert_sums(approx: FourierApprox, sums: np.ndarray, eta: float,
     """InvertCDF on the per-batch sums S[r, j + d] of the pool."""
     x_left = -math.pi / 3.0 - SEARCH_PAD * delta
     x_right = math.pi / 3.0 + SEARCH_PAD * delta
-    max_iter = bracket_iterations(delta, x_right - x_left) + 2
+    max_iter = bracket_iterations(delta) + 2
     iterations = 0
     while x_right - x_left > 2.0 * delta:
         if iterations > max_iter:
@@ -378,7 +382,7 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
     return GSEReport(
-        value=x_star / spectral.tau, shots_used=n_s * n_b, budget=budget,
+        value=x_star / spectral.tau, shots_used=budget.shots, budget=budget,
         config=cfg, approx=approx, sums=sums,
         intermediate={"x_star": x_star, "d_gse": approx.d,
                       "n_s": n_s, "n_b": n_b, "tau": spectral.tau,
@@ -419,9 +423,15 @@ def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierAp
                                 cfg.eta * (cfg.epsilon / 4.0) / 8.0)
 
 
-def _overlap_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float):
-    return mom_schedule(2.0 * approx.total_weight ** 2, cfg.eta,
-                        cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
+def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
+                    two_time: bool = False, alpha: float | None = None):
+    """(n_g, k) of the overlap or a weighted stage at failure probability nu.
+    One shot's second moment is at most 2 W^2 on a one-time table and
+    2 alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable)."""
+    w = approx.total_weight
+    bound = (2.0 * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
+             else 2.0 * w ** 2)
+    return mom_schedule(bound, cfg.eta, cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
 
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
@@ -433,7 +443,7 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
-    n_g, k = _overlap_schedule(approx, cfg, nu)
+    n_g, k = _stage_schedule(approx, cfg, nu)
     budget = budget if budget is not None else EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
     return weighted_stage(approx, e_table, x_good, n_g, k,
@@ -443,7 +453,8 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
 
 @dataclass
 class Denominator:
-    """What the stages before the weighted one hand it, and what they spent.
+    """What the stages before the weighted one hand it, and what they spent:
+    ``budget`` holds the evolution time and the shots of every stage so far.
 
     ``phases`` is the estimate's phase block (:func:`hadamard.phase_block`,
     degree at least ``approx.d``) until :meth:`take_phases` hands it on.
@@ -454,7 +465,6 @@ class Denominator:
     p0_bar: float
     nu: float
     budget: EvolutionBudget
-    shots: int
     intermediate: dict
     phases: np.ndarray | None = field(default=None, repr=False)
 
@@ -464,28 +474,23 @@ class Denominator:
         phases, self.phases = self.phases, None
         return phases
 
-    def two_time_bound(self, alpha: float = 1.0) -> float:
-        """Second-moment bound 2 alpha^2 W^4 of one two-time shot; alpha = 1
-        for a unitary observable, the block-encoding scale otherwise."""
-        return 2.0 * alpha ** 2 * self.approx.total_weight ** 4
+    def weighted(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
+                 nu: float | None = None, index: int = 0, nsq_table=None,
+                 alpha=None) -> complex:
+        """Weighted stage on ``table`` at failure probability nu (default the
+        denominator's), drawn from weighted stream ``index`` into ``budget``."""
+        n_g, k = _stage_schedule(self.approx, cfg, self.nu if nu is None else nu,
+                                 two_time=table.ndim == 2, alpha=alpha)
+        return weighted_stage(self.approx, table, self.x_good, n_g, k,
+                              stage_rng(cfg.seed, "weighted", index=index),
+                              self.budget, tau, nsq_table=nsq_table, alpha=alpha)
 
     def ratio(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
               nsq_table=None, alpha=None) -> EstimateReport:
-        """Weighted stage on ``table`` at failure probability nu, divided by
-        p0_bar.  The schedule bounds the second moment of one shot by 2 W^2
-        for a one-time table and by :meth:`two_time_bound` (alpha = 1
-        without a block encoding) for a two-time one."""
-        if table.ndim == 1:
-            var_bound = 2.0 * self.approx.total_weight ** 2
-        else:
-            var_bound = self.two_time_bound(1.0 if alpha is None else alpha)
-        n_g, k = mom_schedule(var_bound, cfg.eta, cfg.epsilon / 4.0, self.nu,
-                              cfg.n_g, cfg.k)
-        num = weighted_stage(self.approx, table, self.x_good, n_g, k,
-                             stage_rng(cfg.seed, "weighted"), self.budget, tau,
-                             nsq_table=nsq_table, alpha=alpha)
+        """:meth:`weighted` on ``table`` divided by p0_bar."""
+        num = self.weighted(cfg, table, tau, nsq_table=nsq_table, alpha=alpha)
         return EstimateReport(value=num / self.p0_bar,
-                              shots_used=self.shots + n_g * k,
+                              shots_used=self.budget.shots,
                               budget=self.budget, config=cfg,
                               intermediate=dict(self.intermediate, p0o0_bar=num))
 
@@ -523,7 +528,7 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
-    budget, shots, inter = EvolutionBudget(), 0, {"gamma": gamma}
+    budget, inter = EvolutionBudget(), {"gamma": gamma}
     approx = _property_approx(spectral, cfg)
     if x_good is None:
         eps_gse = gamma / 8.0
@@ -534,7 +539,7 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                            phases=phases)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
                             epsilon=eps_gse)
-        budget, shots = gse.budget, gse.shots_used
+        budget = gse.budget
         inter.update(gse.intermediate)
     else:
         phases = hadamard.phase_block(spectral, approx.d)
@@ -542,13 +547,12 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                               budget=budget, phases=phases)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
-    n_g, k = _overlap_schedule(approx, cfg, nu)
+    n_g, k = _stage_schedule(approx, cfg, nu)
     inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
     return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, nu=nu,
-                       budget=budget, shots=shots + n_g * k, intermediate=inter,
-                       phases=phases)
+                       budget=budget, intermediate=inter, phases=phases)
 
 
 # --- end-to-end pipelines -----------------------------------------------------

@@ -241,7 +241,6 @@ def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float) -> 
             and abs(ends[2]) <= budget and abs(ends[3]) <= budget)
 
 
-@lru_cache(maxsize=64)
 def degree_for(delta: float, epsilon: float) -> int:
     """Smallest degree (up to bisection granularity) whose construction meets
     the range and sup-error requirements, found by doubling then bisecting."""

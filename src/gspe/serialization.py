@@ -23,6 +23,16 @@ class ConfigError(ValueError):
     """Config or instance file failed to parse; message carries field context."""
 
 
+def parse_number(value, field: str, accept=lambda v: True,
+                 requirement: str = "a number") -> float:
+    """``value`` as a float when it is a JSON number that ``accept`` takes;
+    a ConfigError naming ``field`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not accept(float(value)):
+        raise ConfigError(f"{field} must be {requirement}, got {value!r}")
+    return float(value)
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,9 +91,8 @@ def parse_linear_system(spec: dict) -> LinearSystemInstance:
         b = parse_complex_vector(spec["b"], "instance.b")
     except KeyError as exc:
         raise ConfigError(f"instance: linear system needs field {exc}") from exc
-    kappa = float(spec.get("kappa") or
-                  1.0 / np.linalg.svd(a, compute_uv=False).min())
-    return LinearSystemInstance(a=a, b=b, kappa=kappa)
+    kappa = spec.get("kappa") or 1.0 / np.linalg.svd(a, compute_uv=False).min()
+    return LinearSystemInstance(a=a, b=b, kappa=parse_number(kappa, "instance.kappa"))
 
 
 def parse_synthetic(spec: dict, gamma: float | None = None):
@@ -92,6 +101,8 @@ def parse_synthetic(spec: dict, gamma: float | None = None):
     raw = spec.get("eigenvalues")
     if not raw:
         raise ConfigError("instance: synthetic instance needs eigenvalues")
+    if not isinstance(raw, list):
+        raise ConfigError(f"instance.eigenvalues must be a list, got {raw!r}")
     values = []
     for entry in raw:
         if entry == "gamma":
@@ -100,7 +111,8 @@ def parse_synthetic(spec: dict, gamma: float | None = None):
                                   "used outside a gamma sweep")
             values.append(float(gamma))
         else:
-            values.append(float(entry))
+            values.append(parse_number(entry, "instance.eigenvalues",
+                                       requirement='a number or "gamma"'))
     dim = len(values)
     n = max(1, math.ceil(math.log2(dim)))
     padded = values + [max(values)] * (2 ** n - dim)
@@ -108,7 +120,10 @@ def parse_synthetic(spec: dict, gamma: float | None = None):
     weights = spec.get("overlaps")
     if weights is None:
         raise ConfigError("instance: synthetic instance needs overlaps")
-    weights = np.array([float(w) for w in weights], dtype=float)
+    if not isinstance(weights, list):
+        raise ConfigError(f"instance.overlaps must be a list, got {weights!r}")
+    weights = np.array([parse_number(w, "instance.overlaps") for w in weights],
+                       dtype=float)
     if weights.size != dim or abs(weights.sum() - 1.0) > 1e-9 or weights.min() < 0:
         raise ConfigError("instance: overlaps must be a distribution over the "
                           "declared eigenvalues")

@@ -280,6 +280,117 @@ def test_bad_alpha_and_overlap_are_config_errors(tmp_path, capsys, case):
     assert f"config error: {field} must be" in capsys.readouterr().err
 
 
+def _shipped(name):
+    config = load_json(str(BUNDLE / f"{name}.json"))
+    for key in ("output", "cdf_trace"):
+        config.pop(key, None)
+    return config
+
+
+def _with(config, path, value):
+    """A copy of ``config`` with the field at the dotted ``path`` set."""
+    config = json.loads(json.dumps(config))
+    *parents, leaf = path.split(".")
+    node = config
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return config
+
+
+_RDM = {"mode": "rdm",
+        "instance": {"type": "pauli", "n": 2,
+                     "terms": [{"coeff": 0.5, "word": "XX"},
+                               {"coeff": 0.5, "word": "YY"},
+                               {"coeff": 0.15, "word": "ZI"},
+                               {"coeff": -0.1, "word": "IZ"}]},
+        "initial_state": {"type": "ground_mixed", "overlap": 0.6},
+        "rdm": {"p": 0, "q": 1},
+        "epsilon": 0.05, "eta": 0.5, "nu": 0.1, "seed": 4}
+_FOURIER = {"mode": "fourier-check", "fourier": {"delta": 0.2, "epsilon": 0.01}}
+_GSE, _QLSS, _SWEEP = (_shipped(name)
+                       for name in ("tfim3-gse", "qlss-kappa4", "sweep-gamma"))
+
+# name -> (command, config, GSPE_SEED, exit code, the field a config error names)
+CONFIG_FIELD_CASES = {
+    "epsilon-string": ("run", _with(_GSE, "epsilon", "abc"), None,
+                       cli.EXIT_CONFIG, "epsilon"),
+    "eta-null": ("run", _with(_GSE, "eta", None), None, cli.EXIT_CONFIG, "eta"),
+    "nu-string": ("run", _with(_GSE, "nu", "x"), None, cli.EXIT_CONFIG, "nu"),
+    "gamma-override-string": ("run", _with(_GSE, "gamma_override", "x"), None,
+                              cli.EXIT_CONFIG, "gamma_override"),
+    "seed-string": ("run", _with(_GSE, "seed", "x"), None, cli.EXIT_CONFIG, "seed"),
+    "seed-negative": ("run", _with(_GSE, "seed", -1), None, cli.EXIT_CONFIG,
+                      "seed"),
+    "seed-fraction": ("run", _with(_GSE, "seed", 1.7), None, cli.EXIT_CONFIG,
+                      "seed"),
+    "env-seed-negative": ("run", _GSE, "-1", cli.EXIT_CONFIG, "GSPE_SEED"),
+    "initial-state-list": ("run", _with(_GSE, "initial_state", [1]), None,
+                           cli.EXIT_CONFIG, "initial_state"),
+    "shot-overrides-list": ("run", _with(_GSE, "shot_overrides", [1]), None,
+                            cli.EXIT_CONFIG, "shot_overrides"),
+    "instance-list": ("run", _with(_GSE, "instance", [1]), None,
+                      cli.EXIT_CONFIG, "instance"),
+    "overlaps-p-string": ("run", _with(_GSE, "initial_state",
+                                       {"type": "overlaps",
+                                        "p": ["a"] + [0.125] * 7}), None,
+                          cli.EXIT_CONFIG, "initial_state.p"),
+    "qlss-number": ("run", _with(_QLSS, "qlss", 5), None, cli.EXIT_CONFIG, "qlss"),
+    "qlss-eta-string": ("run", _with(_QLSS, "eta", "x"), None, cli.EXIT_CONFIG,
+                        "eta"),
+    "qlss-epsilon-string": ("run", _with(_QLSS, "epsilon", "x"), None,
+                            cli.EXIT_CONFIG, "epsilon"),
+    "qlss-kappa-string": ("run", _with(_QLSS, "instance.kappa", "x"), None,
+                          cli.EXIT_CONFIG, "instance.kappa"),
+    "rdm-list": ("run", _with(_RDM, "rdm", [0, 1]), None, cli.EXIT_CONFIG, "rdm"),
+    "rdm-p-string": ("run", _with(_RDM, "rdm.p", "a"), None, cli.EXIT_CONFIG,
+                     "rdm.p"),
+    "rdm-p-fraction": ("run", _with(_RDM, "rdm.p", 0.5), None, cli.EXIT_CONFIG,
+                       "rdm.p"),
+    "fourier-list": ("run", _with(_FOURIER, "fourier", [1]), None,
+                     cli.EXIT_CONFIG, "fourier"),
+    "fourier-delta-string": ("run", _with(_FOURIER, "fourier.delta", "x"), None,
+                             cli.EXIT_CONFIG, "fourier.delta"),
+    "synthetic-eigenvalue-string": (
+        "sweep", _with(_SWEEP, "instance.eigenvalues", [0.0, "gamma", "x", 1.0]),
+        None, cli.EXIT_CONFIG, "instance.eigenvalues"),
+    "synthetic-eigenvalues-number": (
+        "sweep", _with(_SWEEP, "instance.eigenvalues", 5), None, cli.EXIT_CONFIG,
+        "instance.eigenvalues"),
+    "synthetic-overlaps-string": (
+        "sweep", _with(_SWEEP, "instance.overlaps", "x"), None, cli.EXIT_CONFIG,
+        "instance.overlaps"),
+    "sweep-epsilon-string": ("sweep", _with(_SWEEP, "sweep.epsilon", ["x"]), None,
+                             cli.EXIT_CONFIG, "sweep.epsilon"),
+    # a number of the right type out of range fails the pipeline's precondition
+    "epsilon-above-1": ("run", _with(_GSE, "epsilon", 1.5), None,
+                        cli.EXIT_PIPELINE, None),
+    "shot-override-0": ("run", _with(_GSE, "shot_overrides", {"n_s": 0}), None,
+                        cli.EXIT_PIPELINE, None),
+    "rdm-p-out-of-range": ("run", _with(_RDM, "rdm.p", 2), None,
+                           cli.EXIT_PIPELINE, None),
+    "fourier-delta-out-of-range": ("run", _with(_FOURIER, "fourier.delta", 0.9),
+                                   None, cli.EXIT_PIPELINE, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_FIELD_CASES))
+def test_config_field_types(tmp_path, capsys, monkeypatch, case):
+    """A field of the wrong JSON type is a config error (exit 2) naming the
+    field; a range error stays a pipeline precondition (exit 3)."""
+    command, config, env_seed, code, field = CONFIG_FIELD_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    if env_seed is None:
+        monkeypatch.delenv("GSPE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GSPE_SEED", env_seed)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert (f"config error: {field} " if field else "pipeline error") in err
+
+
 @pytest.mark.parametrize("alpha", [None, 1.5])
 def test_block_alpha_null_or_valid_runs(tmp_path, alpha):
     path = tmp_path / "c.json"

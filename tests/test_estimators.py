@@ -10,6 +10,8 @@ from gspe import (EstimationConfig, build_operator, diagonalize, embed_block,
                   estimate_gsprop_commutative, estimate_gsprop_general,
                   estimate_overlap, good_point, median_of_means)
 from gspe import estimators
+from gspe.applications import (estimate_1rdm_entry, qlss_estimate,
+                               random_linear_system)
 from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError,
                              acdf_2d_exact, acdf_exact, acdf_weighted_exact,
                              bracket_iterations, certify, certify_schedule,
@@ -691,7 +693,8 @@ def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
         s, phi0, x_good, cfg, nu=cfg.nu / 3)
 
 
-@pytest.mark.parametrize("pipeline", ["commutative", "general", "block"])
+@pytest.mark.parametrize("pipeline",
+                         ["commutative", "general", "block", "rdm", "qlss"])
 def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     """The weighted stage draws mom_schedule's shots at the per-shot bound of
     its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit."""
@@ -701,6 +704,31 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     phi0 = mixed_with_noise(s.ground_state(),
                             rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
     cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37)
+    if pipeline == "rdm":
+        # four Majorana products for (p, q) = (0, 1), each at nu/(3 * 4)
+        report = estimate_1rdm_entry(s, phi0, 0, 1, cfg)
+        inter = estimators.estimate_denominator(s, phi0, cfg,
+                                                nu=cfg.nu / 3.0).intermediate
+        n_g, k = mom_schedule(2.0 * inter["total_weight_prop"] ** 4, cfg.eta,
+                              cfg.epsilon / 4.0, cfg.nu / (3.0 * 4))
+        assert report.shots_used == (inter["n_s"] * inter["n_b"]
+                                     + inter["n_g"] * inter["k_overlap"]
+                                     + 4 * n_g * k)
+        return
+    if pipeline == "qlss":
+        # no energy stage; overlap and weighted stage each at nu/2
+        inst = random_linear_system(2, 2.0, rng)
+        report = qlss_estimate(inst, np.diag([1.0, -1.0]), cfg.epsilon, cfg.nu,
+                               eta=cfg.eta, alpha=1.5, seed=cfg.seed)
+        inter = report.intermediate
+        w = build_fourier_approx(inter["tau"] * inter["gamma"] / 5.0,
+                                 cfg.eta * (cfg.epsilon / 4.0) / 8.0).total_weight
+        n_o, k_o = mom_schedule(2.0 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
+                                cfg.nu / 2.0)
+        n_g, k = mom_schedule(2.0 * 1.5 ** 2 * w ** 4, cfg.eta, cfg.epsilon / 4.0,
+                              cfg.nu / 2.0)
+        assert report.shots_used == n_o * k_o + n_g * k
+        return
     if pipeline == "commutative":
         report = estimate_gsprop_commutative(s, phi0, o_mat, cfg)
     elif pipeline == "general":
