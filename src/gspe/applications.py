@@ -292,7 +292,6 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
                              nu=cfg.nu / (3.0 * count), index=stage)
         total += weight * phase * (num / front.p0_bar)
     return EstimateReport(
-        value=total / 4.0, shots_used=front.budget.shots, budget=front.budget,
-        config=cfg,
+        value=total / 4.0, budget=front.budget,
         intermediate={key: front.intermediate[key]
                       for key in ("x_good", "p0_bar", "d_prop", "gamma")})

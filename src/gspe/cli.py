@@ -6,9 +6,10 @@ Commands:
     gspe fourier-check --delta D --epsilon E --out F.csv
 
 Exit codes: 0 success, 2 config/instance parse error, 3 pipeline failure.
-The master seed comes from the config (default 0) and can be overridden with
-the GSPE_SEED environment variable; it expands into per-stage streams via the
-documented splitting in :mod:`gspe.seeding`.
+A run or sweep reads its master seed once, from GSPE_SEED else the config
+(default 0); each sweep point runs on, and reports, a seed derived from it.
+Seeds expand into per-stage streams via the documented splitting in
+:mod:`gspe.seeding`.  File-name fields must be strings.
 """
 from __future__ import annotations
 
@@ -30,9 +31,6 @@ from .spectral import diagonalize, exact_cdf, mixed_with_noise, normalized, over
 
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
-
-MODES = ("gse", "gsprop-commutative", "gsprop-general", "gsprop-block",
-         "qlss", "fourier-check", "rdm")
 
 
 def _resolve_seed(config: dict) -> int:
@@ -59,7 +57,7 @@ def _instance_spec(config: dict) -> dict:
     return spec
 
 
-def _load_instance(config: dict, gamma: float | None = None):
+def _load_instance(config: dict, seed: int, gamma: float | None = None):
     """Returns (spectral, phi0) for Hamiltonian modes."""
     spec = _instance_spec(config)
     kind = spec.get("type", "pauli")
@@ -70,7 +68,7 @@ def _load_instance(config: dict, gamma: float | None = None):
         return spectral, phi0
     if kind == "pauli":
         spectral = diagonalize(serialization.parse_operator(spec, "instance"))
-        return spectral, _initial_state(config, spectral)
+        return spectral, _initial_state(config, spectral, seed)
     raise ConfigError(f"instance: unknown type {kind!r}")
 
 
@@ -102,6 +100,14 @@ def _numbers(values, field: str) -> list:
     return values
 
 
+def _file_name(spec: dict, key: str, field: str | None = None) -> str | None:
+    """``spec[key]`` when it is a string; None when absent or null."""
+    value = spec.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{field or key} must be a string or null, got {value!r}")
+    return value
+
+
 def _section(config: dict, key: str) -> dict:
     """``config[key]`` when it is a JSON object; {} when absent or null."""
     value = config.get(key)
@@ -126,7 +132,7 @@ def _alpha(spec: dict, field: str) -> float | None:
                         "a finite number > 0 or null")
 
 
-def _initial_state(config: dict, spectral):
+def _initial_state(config: dict, spectral, seed: int):
     spec = _section(config, "initial_state")
     kind = spec.get("type", "plus")
     dim = spectral.dim
@@ -140,7 +146,7 @@ def _initial_state(config: dict, spectral):
         return state
     if kind == "ground_mixed":
         overlap = _overlap(spec, "initial_state.overlap", 0.5)
-        rng = stage_rng(_resolve_seed(config), "state-prep")
+        rng = stage_rng(seed, "state-prep")
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         return mixed_with_noise(spectral.ground_state(), noise, overlap)
     if kind == "amplitudes":
@@ -162,35 +168,24 @@ def _initial_state(config: dict, spectral):
     raise ConfigError(f"initial_state: unknown type {kind!r}")
 
 
-def _estimation_config(config: dict, gamma_override=None) -> EstimationConfig:
+def _estimation_config(config: dict, seed: int) -> EstimationConfig:
     overrides = _section(config, "shot_overrides")
-    if gamma_override is None and config.get("gamma_override") is not None:
-        gamma_override = _real(config, "gamma_override")
+    gamma = config.get("gamma_override")
     return EstimationConfig(
         epsilon=_real(config, "epsilon"), eta=_real(config, "eta"),
-        nu=_real(config, "nu", 0.1), seed=_resolve_seed(config),
-        gamma=gamma_override,
+        nu=_real(config, "nu", 0.1), seed=seed,
+        gamma=None if gamma is None else _real(config, "gamma_override"),
         n_s=overrides.get("n_s"), n_b=overrides.get("n_b"),
         n_g=overrides.get("n_g"), k=overrides.get("k"))
 
 
-def _base_record(config: dict, mode: str) -> dict:
-    return {"mode": mode, "config": config, "seed": _resolve_seed(config)}
-
-
-def _finish_record(record: dict, report, exact=None) -> dict:
-    value = report.value
-    record.update({
-        "estimate": value,
-        "shots": report.shots_used,
-        "max_evolution_time": report.budget.max_time,
-        "total_evolution_time": report.budget.total_time,
-        "intermediate": serialization.json_safe(report.intermediate),
-    })
-    if exact is not None:
-        record["exact"] = exact
-        record["error"] = abs(complex(value) - complex(exact))
-    return record
+def _finish_record(config: dict, seed: int, report, exact) -> dict:
+    return {"mode": config["mode"], "config": config, "seed": seed,
+            "estimate": report.value, "shots": report.shots_used,
+            "max_evolution_time": report.budget.max_time,
+            "total_evolution_time": report.budget.total_time,
+            "intermediate": serialization.json_safe(report.intermediate),
+            "exact": exact, "error": abs(complex(report.value) - complex(exact))}
 
 
 def _write_cdf_trace(path: str, spectral, phi0, gse) -> None:
@@ -208,16 +203,15 @@ def _write_cdf_trace(path: str, spectral, phi0, gse) -> None:
             writer.writerow([f"{v:.12g}" for v in row])
 
 
-def run_gse(config: dict, gamma: float | None = None) -> dict:
-    spectral, phi0 = _load_instance(config, gamma)
-    cfg = _estimation_config(config, gamma)
-    report = estimators.estimate_gse(spectral, phi0, cfg)
-    record = _base_record(config, "gse")
-    trace = config.get("cdf_trace")
+def run_gse(config: dict, seed: int, gamma: float | None = None) -> dict:
+    trace = _file_name(config, "cdf_trace")
+    spectral, phi0 = _load_instance(config, seed, gamma)
+    report = estimators.estimate_gse(spectral, phi0, _estimation_config(config, seed))
+    record = _finish_record(config, seed, report, float(spectral.eigenvalues[0]))
     if trace:
         _write_cdf_trace(trace, spectral, phi0, report)
         record["cdf_trace"] = trace
-    return _finish_record(record, report, exact=float(spectral.eigenvalues[0]))
+    return record
 
 
 def _ground_expectation(spectral, o_mat) -> float:
@@ -225,9 +219,10 @@ def _ground_expectation(spectral, o_mat) -> float:
     return float((psi0.conj() @ o_mat @ psi0).real)
 
 
-def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
-    spectral, phi0 = _load_instance(config, gamma)
-    cfg = _estimation_config(config, gamma)
+def run_gsprop(config: dict, seed: int, gamma: float | None = None) -> dict:
+    mode = config["mode"]
+    spectral, phi0 = _load_instance(config, seed, gamma)
+    cfg = _estimation_config(config, seed)
     observable = serialization.parse_operator(config.get("observable") or {},
                                               "observable")
     o_mat = observable.matrix()
@@ -238,12 +233,10 @@ def run_gsprop(config: dict, mode: str, gamma: float | None = None) -> dict:
     else:
         block = hadamard.embed_block(o_mat, _alpha(config, "alpha"))
         report = estimators.estimate_gsprop_block(spectral, phi0, block, cfg)
-    record = _base_record(config, mode)
-    return _finish_record(record, report,
-                          exact=_ground_expectation(spectral, o_mat))
+    return _finish_record(config, seed, report, _ground_expectation(spectral, o_mat))
 
 
-def run_qlss(config: dict) -> dict:
+def run_qlss(config: dict, seed: int) -> dict:
     spec = _instance_spec(config)
     if spec.get("type") != "linear_system":
         raise ConfigError('qlss mode needs instance {"type": "linear_system", ...}')
@@ -258,15 +251,13 @@ def run_qlss(config: dict) -> dict:
         overlap=_overlap(qlss_opts, "qlss.overlap", 0.6),
         eta=None if config.get("eta") is None else _real(config, "eta"),
         alpha=_alpha(qlss_opts, "qlss.alpha"),
-        seed=_resolve_seed(config),
-        n_g=overrides.get("n_g"), k=overrides.get("k"))
-    record = _base_record(config, "qlss")
-    return _finish_record(record, report, exact=report.intermediate["exact"])
+        seed=seed, n_g=overrides.get("n_g"), k=overrides.get("k"))
+    return _finish_record(config, seed, report, report.intermediate["exact"])
 
 
-def run_rdm(config: dict) -> dict:
-    spectral, phi0 = _load_instance(config)
-    cfg = _estimation_config(config)
+def run_rdm(config: dict, seed: int) -> dict:
+    spectral, phi0 = _load_instance(config, seed)
+    cfg = _estimation_config(config, seed)
     rdm = _section(config, "rdm")
     for key in ("p", "q"):
         if key not in rdm:
@@ -274,9 +265,8 @@ def run_rdm(config: dict) -> dict:
     p, q = (_integer(rdm[key], f"rdm.{key}") for key in ("p", "q"))
     n_modes = int(round(math.log2(spectral.dim)))
     report = applications.estimate_1rdm_entry(spectral, phi0, p, q, cfg)
-    exact = applications.exact_1rdm_entry(spectral, p, q, n_modes)
-    record = _base_record(config, "rdm")
-    return _finish_record(record, report, exact=exact)
+    return _finish_record(config, seed, report,
+                          applications.exact_1rdm_entry(spectral, p, q, n_modes))
 
 
 def run_fourier_check(delta: float, epsilon: float, out: str | None) -> dict:
@@ -301,36 +291,41 @@ def run_fourier_check(delta: float, epsilon: float, out: str | None) -> dict:
             "output": out}
 
 
-_RUNNERS = {
-    "gse": run_gse,
-    "gsprop-commutative": lambda c, g=None: run_gsprop(c, "gsprop-commutative", g),
-    "gsprop-general": lambda c, g=None: run_gsprop(c, "gsprop-general", g),
-    "gsprop-block": lambda c, g=None: run_gsprop(c, "gsprop-block", g),
+def _run_fourier_config(config: dict, seed: None) -> dict:
+    fspec = _section(config, "fourier")
+    return run_fourier_check(_real(fspec, "delta", 0.2, "fourier.delta"),
+                             _real(fspec, "epsilon", 0.01, "fourier.epsilon"),
+                             _file_name(fspec, "out", "fourier.out"))
+
+
+# mode -> (runner(config, seed[, gamma]), whether a sweep runs it); a sweep
+# runs the Hamiltonian modes, whose runners also take the grid point's gamma
+_DISPATCH = {
+    "gse": (run_gse, True),
+    "gsprop-commutative": (run_gsprop, True),
+    "gsprop-general": (run_gsprop, True),
+    "gsprop-block": (run_gsprop, True),
+    "qlss": (run_qlss, False),
+    "fourier-check": (_run_fourier_config, False),
+    "rdm": (run_rdm, False),
 }
 
 
 def run(config: dict) -> dict:
     """Execute one configured estimation; returns the result record."""
     mode = config.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"config: mode must be one of {MODES}, got {mode!r}")
+    if mode not in _DISPATCH:
+        raise ConfigError(f"config: mode must be one of {tuple(_DISPATCH)}, "
+                          f"got {mode!r}")
+    output = _file_name(config, "output")
+    # fourier-check draws nothing, so it neither reads nor checks a seed
+    seed = None if mode == "fourier-check" else _resolve_seed(config)
     start = time.monotonic()
-    if mode == "qlss":
-        record = run_qlss(config)
-    elif mode == "rdm":
-        record = run_rdm(config)
-    elif mode == "fourier-check":
-        fspec = _section(config, "fourier")
-        record = run_fourier_check(_real(fspec, "delta", 0.2, "fourier.delta"),
-                                   _real(fspec, "epsilon", 0.01, "fourier.epsilon"),
-                                   fspec.get("out"))
-    else:
-        record = _RUNNERS[mode](config)
+    record = _DISPATCH[mode][0](config, seed)
     # wall time goes to stderr, not into the record: records must be
     # byte-identical across repeated runs of one (config, seed)
     print(f"[gspe] {mode} finished in {time.monotonic() - start:.2f}s",
           file=sys.stderr)
-    output = config.get("output")
     if output:
         serialization.write_record(record, output)
     return record
@@ -345,9 +340,11 @@ def sweep(config: dict) -> list[dict]:
         raise ConfigError("sweep: empty grid (declare gamma/epsilon/eta lists)")
     base = {k: v for k, v in config.items() if k not in ("sweep", "output")}
     mode = base.get("mode")
-    if mode not in _RUNNERS:
-        raise ConfigError(f"sweep: mode must be one of {tuple(_RUNNERS)}, "
-                          f"got {mode!r}")
+    modes = tuple(m for m, (_, sweeps) in _DISPATCH.items() if sweeps)
+    if mode not in modes:
+        raise ConfigError(f"sweep: mode must be one of {modes}, got {mode!r}")
+    output = _file_name(config, "output")
+    master = _resolve_seed(config)
     records = []
     for index, values in enumerate(itertools.product(*[v for _, v in axes])):
         point = dict(base)
@@ -358,9 +355,9 @@ def sweep(config: dict) -> list[dict]:
                 point["gamma_override"] = gamma
             else:
                 point[key] = float(value)
-        seq = stage_sequence(_resolve_seed(config), "sweep-point", index)
+        seq = stage_sequence(master, "sweep-point", index)
         point["seed"] = int(seq.generate_state(1)[0])
-        record = _RUNNERS[mode](point, gamma)
+        record = _DISPATCH[mode][0](point, point["seed"], gamma)
         record["grid_point"] = {k: v for (k, _), v in zip(axes, values)}
         records.append(record)
     summary = [{"gamma": r["grid_point"].get("gamma"),
@@ -371,7 +368,6 @@ def sweep(config: dict) -> list[dict]:
                 "d_gse": r.get("intermediate", {}).get("d_gse"),
                 "max_evolution_time": r.get("max_evolution_time")}
                for r in records]
-    output = config.get("output")
     if output:
         serialization.write_record({"records": records, "summary": summary},
                                    output)

@@ -92,10 +92,13 @@ class EvolutionBudget:
 @dataclass
 class EstimateReport:
     value: complex
-    shots_used: int
     budget: EvolutionBudget
-    config: EstimationConfig
     intermediate: dict = field(default_factory=dict)
+
+    @property
+    def shots_used(self) -> int:
+        """Every shot the estimate drew, as counted by its budget."""
+        return self.budget.shots
 
 
 # --- shot schedules ----------------------------------------------------------
@@ -382,8 +385,7 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
     return GSEReport(
-        value=x_star / spectral.tau, shots_used=budget.shots, budget=budget,
-        config=cfg, approx=approx, sums=sums,
+        value=x_star / spectral.tau, budget=budget, approx=approx, sums=sums,
         intermediate={"x_star": x_star, "d_gse": approx.d,
                       "n_s": n_s, "n_b": n_b, "tau": spectral.tau,
                       "total_weight_gse": approx.total_weight})
@@ -489,9 +491,7 @@ class Denominator:
               nsq_table=None, alpha=None) -> EstimateReport:
         """:meth:`weighted` on ``table`` divided by p0_bar."""
         num = self.weighted(cfg, table, tau, nsq_table=nsq_table, alpha=alpha)
-        return EstimateReport(value=num / self.p0_bar,
-                              shots_used=self.budget.shots,
-                              budget=self.budget, config=cfg,
+        return EstimateReport(value=num / self.p0_bar, budget=self.budget,
                               intermediate=dict(self.intermediate, p0o0_bar=num))
 
     def block_ratio(self, cfg: EstimationConfig, spectral: SpectralData, phi0,

@@ -120,9 +120,10 @@ def _unitarity_deviation(obs: Observable) -> float:
 
     For a signed permutation U^H U is diagonal, holding |m|^2 for the one
     nonzero m of each column, so the norm is max | |m|^2 - 1 |.  Otherwise
-    the O(dim^2) bound sqrt(||G||_1 ||G||_inf) on the Gram deviation G settles
-    every unitary input; only a bound above the tolerance pays for the exact
-    spectral norm, max |eigvalsh(G)|, as G is Hermitian.
+    the Frobenius norm of the Gram deviation G, an O(dim^2) upper bound on
+    ||G||_2 read off one vdot with no temporary, settles every unitary input;
+    only a bound above the tolerance pays for the exact spectral norm,
+    max |eigvalsh(G)|, as G is Hermitian.
     """
     if obs.columns is not None:
         values = obs.values
@@ -130,8 +131,7 @@ def _unitarity_deviation(obs: Observable) -> float:
     mat = obs.matrix
     gram = mat.conj().T @ mat
     gram[np.diag_indices_from(gram)] -= 1.0
-    mags = np.abs(gram)
-    bound = math.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max())
+    bound = math.sqrt(np.vdot(gram, gram).real)
     if bound <= UNITARY_TOL:
         return bound
     return float(np.abs(np.linalg.eigvalsh(gram)).max())

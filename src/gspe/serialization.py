@@ -66,22 +66,26 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def pair_to_complex(pair, field: str) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair, 0.0)
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ConfigError(f"{field}: expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    """A JSON number, or an [re, im] pair of them, as a complex."""
+    re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 \
+        else (pair, 0.0)
+    requirement = "numbers or [re, im] pairs of numbers"
+    return complex(parse_number(re, field, requirement=requirement),
+                   parse_number(im, field, requirement=requirement))
 
 
 def parse_complex_matrix(rows, field: str) -> np.ndarray:
-    try:
-        return np.array([[pair_to_complex(entry, field) for entry in row]
-                         for row in rows], dtype=complex)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{field}: malformed complex matrix ({exc})") from exc
+    if not isinstance(rows, list):
+        raise ConfigError(f"{field} must be a list of rows, got {rows!r}")
+    rows = [parse_complex_vector(row, field) for row in rows]
+    if len({row.size for row in rows}) > 1:
+        raise ConfigError(f"{field} must have rows of one length")
+    return np.array(rows, dtype=complex)
 
 
 def parse_complex_vector(entries, field: str) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise ConfigError(f"{field} must be a list, got {entries!r}")
     return np.array([pair_to_complex(e, field) for e in entries], dtype=complex)
 
 
@@ -91,6 +95,9 @@ def parse_linear_system(spec: dict) -> LinearSystemInstance:
         b = parse_complex_vector(spec["b"], "instance.b")
     except KeyError as exc:
         raise ConfigError(f"instance: linear system needs field {exc}") from exc
+    if a.shape != (b.size, b.size):
+        raise ConfigError(f"instance.A must be a square matrix of b's length "
+                          f"{b.size}, got shape {a.shape}")
     kappa = spec.get("kappa") or 1.0 / np.linalg.svd(a, compute_uv=False).min()
     return LinearSystemInstance(a=a, b=b, kappa=parse_number(kappa, "instance.kappa"))
 

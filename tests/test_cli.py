@@ -64,7 +64,7 @@ def test_cdf_trace_emitted(tmp_path):
     # C_estimated is the mean of G over the run's own GSE pool: unbiased for
     # the ACDF, with per-shot |G| = W * sqrt(2)
     estimated = np.array([float(r[2]) for r in rows[1:]])
-    spectral, phi0 = cli._load_instance(config)
+    spectral, phi0 = cli._load_instance(config, cli._resolve_seed(config))
     approx = build_fourier_approx(spectral.tau * config["epsilon"],
                                   config["eta"] / 8.0)
     inter = record["intermediate"]
@@ -178,6 +178,19 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GSPE_SEED", "11")
     record = cli.run(config)
     assert record["seed"] == 11
+
+
+def test_sweep_env_seed_is_the_master_seed(monkeypatch):
+    """GSPE_SEED replaces a sweep's master seed; each grid point runs on, and
+    reports, the seed derived from it."""
+    monkeypatch.setenv("GSPE_SEED", "3")
+    under_env = cli.sweep(dict(_SWEEP, seed=7))
+    monkeypatch.delenv("GSPE_SEED")
+    reference = cli.sweep(dict(_SWEEP, seed=3))
+    assert len(under_env) == len(reference) == 3
+    for got, want in zip(under_env, reference):
+        assert got == want
+        assert got["seed"] == got["config"]["seed"]
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -362,6 +375,22 @@ CONFIG_FIELD_CASES = {
         "instance.overlaps"),
     "sweep-epsilon-string": ("sweep", _with(_SWEEP, "sweep.epsilon", ["x"]), None,
                              cli.EXIT_CONFIG, "sweep.epsilon"),
+    # file names: a list or a float, so a failing check opens no descriptor
+    "output-list": ("run", _with(_GSE, "output", ["out.json"]), None,
+                    cli.EXIT_CONFIG, "output"),
+    "sweep-output-float": ("sweep", _with(_SWEEP, "output", 7.5), None,
+                           cli.EXIT_CONFIG, "output"),
+    "cdf-trace-float": ("run", _with(_GSE, "cdf_trace", 2.5), None,
+                        cli.EXIT_CONFIG, "cdf_trace"),
+    "fourier-out-list": ("run", _with(_FOURIER, "fourier.out", ["f.csv"]), None,
+                         cli.EXIT_CONFIG, "fourier.out"),
+    "qlss-b-string-entry": ("run", _with(_QLSS, "instance.b",
+                                         [["a", 0.0]] + [[0.5, 0.0]] * 3), None,
+                            cli.EXIT_CONFIG, "instance.b"),
+    "qlss-b-number": ("run", _with(_QLSS, "instance.b", 5), None, cli.EXIT_CONFIG,
+                      "instance.b"),
+    "qlss-a-not-square-with-b": ("run", _with(_QLSS, "instance.A", [[1.0]]), None,
+                                 cli.EXIT_CONFIG, "instance.A"),
     # a number of the right type out of range fails the pipeline's precondition
     "epsilon-above-1": ("run", _with(_GSE, "epsilon", 1.5), None,
                         cli.EXIT_PIPELINE, None),
@@ -403,7 +432,7 @@ def test_block_alpha_null_or_valid_runs(tmp_path, alpha):
 @pytest.mark.parametrize("overlap", [0, 1.0])
 def test_overlap_ends_are_valid(overlap):
     config = _block_config(initial_state=_ground_mixed(overlap))
-    spectral, phi0 = cli._load_instance(config)
+    spectral, phi0 = cli._load_instance(config, cli._resolve_seed(config))
     ground = abs(spectral.ground_state().conj() @ phi0) ** 2
     assert ground == pytest.approx(overlap, abs=1e-12)
 

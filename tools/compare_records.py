@@ -5,12 +5,13 @@
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 config runs as ``python -m gspe.cli`` with that tree first on PYTHONPATH, in
 its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
-``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, the shipped ``sweep-gamma`` sweep,
-and small general, block (default alpha, alpha = 1.5, and ||O||_2 > 1 with
-the default alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and
-(0, 0)) configs built below.  For every output file
-it prints ``identical`` or the largest relative difference between
-corresponding numbers.  The exit code is 0 when every file is identical.
+``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, the shipped ``sweep-gamma`` sweep
+as shipped and at GSPE_SEED 3 (as the benchmark runs it), and small general,
+block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
+alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
+built below.  For every output file it prints ``identical`` or the largest
+relative difference between corresponding numbers.  The exit code is 0 when
+every file is identical.
 """
 from __future__ import annotations
 
@@ -60,8 +61,9 @@ def cases():
         config = json.loads((CONFIGS / f"{name}.json").read_text())
         for seed in (0, 1, 2):
             yield f"{name}@{seed}", "run", config, seed
-    yield "sweep-gamma", "sweep", json.loads(
-        (CONFIGS / "sweep-gamma.json").read_text()), None
+    sweep = json.loads((CONFIGS / "sweep-gamma.json").read_text())
+    yield "sweep-gamma", "sweep", sweep, None
+    yield "sweep-gamma@3", "sweep", sweep, 3
     hermitian = _observable((0.6, "ZII"), (0.3, "XXI"))
     inline = {
         "general": _tfim3("gsprop-general", _observable((1.0, "XII"))),
