@@ -21,6 +21,9 @@ from .seeding import stage_rng
 from .spectral import SpectralData, diagonalize, mixed_with_noise, normalized
 
 KERNEL_TOL = 1e-8
+SCHEDULE_STEPS = 64  # interpolation steps of the "schedule" preparation
+SCHEDULE_STEP_TIME = 2.0  # evolution time of each step
+OVERLAP_FLOOR = 0.25  # least kernel mass an initial state may carry
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,7 @@ def _qlss_spectral(inst: LinearSystemInstance) -> tuple[SpectralData, float]:
 
 
 def prepare_initial_state(inst: LinearSystemInstance, spectral: SpectralData,
-                          mode: str, overlap: float, rng, *,
-                          n_steps: int = 64, step_time: float = 2.0,
-                          overlap_floor: float = 0.25) -> np.ndarray:
+                          mode: str, overlap: float, rng) -> np.ndarray:
     """Initial state with the requested overlap on |0>|+>|x>.
 
     "oracle": the target mixed with noise supported on the strictly positive
@@ -150,16 +151,16 @@ def prepare_initial_state(inst: LinearSystemInstance, spectral: SpectralData,
         zero = np.array([1.0, 0.0])
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
         state = np.kron(zero, np.kron(minus, normalized(inst.b)))
-        for step in range(1, n_steps + 1):
-            hbar_s = build_gap_amplified(inst.a, inst.b, step / n_steps)
+        for step in range(1, SCHEDULE_STEPS + 1):
+            hbar_s = build_gap_amplified(inst.a, inst.b, step / SCHEDULE_STEPS)
             evals, evecs = np.linalg.eigh(hbar_s)
-            state = evecs @ (np.exp(-1j * step_time * evals)
+            state = evecs @ (np.exp(-1j * SCHEDULE_STEP_TIME * evals)
                              * (evecs.conj().T @ state))
         achieved = float(np.abs(target.conj() @ state) ** 2)
-        if achieved < overlap_floor:
+        if achieved < OVERLAP_FLOOR:
             raise PreconditionError(
                 f"schedule preparation reached overlap {achieved:.3f} "
-                f"below floor {overlap_floor}")
+                f"below floor {OVERLAP_FLOOR}")
         return state
     raise PreconditionError(f"unknown initial state mode {mode!r}")
 
@@ -168,9 +169,7 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
                   nu: float, initial_state_mode: str = "oracle", *,
                   overlap: float = 0.6, eta: float | None = None,
                   alpha: float | None = None, seed: int = 0,
-                  n_g: int | None = None, k: int | None = None,
-                  n_steps: int = 64, step_time: float = 2.0,
-                  overlap_floor: float = 0.25) -> EstimateReport:
+                  n_g: int | None = None, k: int | None = None) -> EstimateReport:
     """Estimate <x|M|x> for the solution of A x = b.
 
     The ground energy stage is skipped (the relevant level of H'(1) is zero by
@@ -188,28 +187,25 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
             f"(residual {residual:.3e})")
     rng_prep = stage_rng(seed, "state-prep")
     phi0 = prepare_initial_state(inst, spectral, initial_state_mode, overlap,
-                                 rng_prep, n_steps=n_steps,
-                                 step_time=step_time,
-                                 overlap_floor=overlap_floor)
+                                 rng_prep)
     amps = spectral.to_eigenbasis(phi0)
     kernel_mask = np.abs(spectral.eigenvalues) <= KERNEL_TOL
     kernel_mass = float((np.abs(amps[kernel_mask]) ** 2).sum())
     eta = eta if eta is not None else 0.8 * overlap
-    if kernel_mass < overlap_floor:
+    if kernel_mass < OVERLAP_FLOOR:
         raise PreconditionError(
-            f"initial state overlap {kernel_mass:.3f} below floor {overlap_floor}")
+            f"initial state overlap {kernel_mass:.3f} below floor {OVERLAP_FLOOR}")
     block = hadamard.embed_block(m_tilde, alpha)
     cfg = EstimationConfig(epsilon=epsilon, eta=eta, nu=nu, seed=seed,
                            gamma=gamma, n_g=n_g, k=k)
-    front = estimators.estimate_denominator(spectral, phi0, cfg, nu=nu / 2.0,
+    front = estimators.estimate_denominator(spectral, phi0, cfg,
                                             x_good=spectral.tau * gamma / 2.0)
     report = front.block_ratio(cfg, spectral, phi0, block)
     x = inst.solution_state()
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
-             for key in ("x_good", "p0_bar", "p0o0_bar", "gamma", "d_prop")}
-    inter.update({"alpha": block.alpha, "tau": spectral.tau, "exact": exact,
-                  "kernel_mass": kernel_mass,
+             for key in ("x_good", "p0_bar", "p0o0_bar", "gamma", "d_prop", "alpha")}
+    inter.update({"tau": spectral.tau, "exact": exact, "kernel_mass": kernel_mass,
                   "error": abs(report.value - exact)})
     report.intermediate = inter
     return report
@@ -217,23 +213,10 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
 
 # --- Majorana / Jordan-Wigner ---------------------------------------------------
 
-@dataclass(frozen=True)
-class MajoranaIndex:
-    """Majorana label: gamma_{2p} for parity 0, gamma_{2p+1} for parity 1."""
-
-    mode: int
-    parity: int
-
-    @property
-    def flat(self) -> int:
-        return 2 * self.mode + self.parity
-
-
-def majorana_string(index, n_modes: int) -> PauliString:
+def majorana_string(index: int, n_modes: int) -> PauliString:
     """Jordan-Wigner Majorana operator as a Pauli string:
     gamma_{2p} = Z^p X I^(n-p-1), gamma_{2p+1} = Z^p Y I^(n-p-1)."""
-    flat = index.flat if isinstance(index, MajoranaIndex) else int(index)
-    mode, parity = divmod(flat, 2)
+    mode, parity = divmod(int(index), 2)
     if not 0 <= mode < n_modes:
         raise PreconditionError(f"mode {mode} out of range for {n_modes} modes")
     letter = "X" if parity == 0 else "Y"
@@ -267,29 +250,31 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
                         cfg: EstimationConfig) -> EstimateReport:
     """D_pq = <psi0| a_p^dag a_q |psi0> via the four-Majorana expansion.
 
-    The energy stage and the overlap denominator are shared across the four
-    products; identity products (p = q diagonal terms) are exact and cost no
-    shots.  Each estimated product gets nu/(3 * count) of the failure budget.
+    The products are formed first, so a bad mode costs no shots.  They share
+    the energy stage and the overlap denominator; identity products (p = q
+    diagonal terms) are exact and cost no shots, and each estimated one is a
+    weighted-stage product in :func:`estimators.estimate_denominator`'s split.
     """
     n_modes = int(round(math.log2(spectral.dim)))
-    front = estimators.estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
     combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
               (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
-    count = max(1, sum(a_idx != b_idx for _, a_idx, b_idx in combos))
+    terms = [(weight, a_idx == b_idx, majorana_product(a_idx, b_idx, n_modes))
+             for weight, a_idx, b_idx in combos]
+    count = sum(not identity for _, identity, _ in terms)
+    front = estimators.estimate_denominator(spectral, phi0, cfg)
     total = 0.0 + 0.0j
     d = front.approx.d
     # one Psi for every product; each table is sampled before the next is built
     states = hadamard.table_states(spectral, phi0, d, phases=front.take_phases())
-    for stage, (weight, a_idx, b_idx) in enumerate(combos):
-        if a_idx == b_idx:
+    for stage, (weight, identity, (phase, string)) in enumerate(terms):
+        if identity:
             total += weight  # gamma_a^2 = identity, expectation exactly 1
             continue
-        phase, string = majorana_product(a_idx, b_idx, n_modes)
         e_table = hadamard.expectation_table_2d(spectral, phi0, string, d,
                                                 states=states)
-        num = front.weighted(cfg, e_table, spectral.tau,
-                             nu=cfg.nu / (3.0 * count), index=stage)
+        num = front.weighted(cfg, e_table, spectral.tau, products=count,
+                             index=stage)
         total += weight * phase * (num / front.p0_bar)
     return EstimateReport(
         value=total / 4.0, budget=front.budget,

@@ -77,8 +77,8 @@ class EvolutionBudget:
     """Largest single evolution time and accumulated total, both in the
     unnormalized time unit of the Hamiltonian, and the shots they came from."""
 
-    max_time: float = 0.0
-    total_time: float = 0.0
+    max_time: float = field(default=0.0, init=False)
+    total_time: float = field(default=0.0, init=False)
     shots: int = field(default=0, init=False)
 
     def add_times(self, times: np.ndarray) -> None:
@@ -159,20 +159,16 @@ def sample_J(approx: FourierApprox, rng) -> int:
 
 def g_estimator(approx: FourierApprox, x: float, j, z) -> complex | np.ndarray:
     """G(x; J, Z) = total_weight * Z * exp(i(theta_J + J x))."""
-    j = np.asarray(j)
-    theta = approx.phases[j + approx.d]
-    out = approx.total_weight * np.asarray(z) * np.exp(1j * (theta + j * x))
+    out = (approx.total_weight * np.asarray(z)
+           * approx.kernel(x)[np.asarray(j) + approx.d])
     return complex(out) if out.ndim == 0 else out
 
 
 def g2_estimator(approx: FourierApprox, x: float, y: float, j, j2, z):
     """G2(x, y; J, J', Z) = total_weight^2 * Z * e^{i(theta_J + Jx)} e^{i(theta_J' + J'y)}."""
-    j = np.asarray(j)
-    j2 = np.asarray(j2)
-    theta = approx.phases[j + approx.d]
-    theta2 = approx.phases[j2 + approx.d]
     out = (approx.total_weight ** 2 * np.asarray(z)
-           * np.exp(1j * (theta + j * x + theta2 + j2 * y)))
+           * approx.kernel(x)[np.asarray(j) + approx.d]
+           * approx.kernel(y)[np.asarray(j2) + approx.d])
     return complex(out) if out.ndim == 0 else out
 
 
@@ -276,8 +272,7 @@ def _shot_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarray:
 def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,
                 n_s: int) -> np.ndarray:
     """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d]."""
-    phases = np.exp(1j * (approx.phases + approx.js * x))
-    return approx.total_weight / n_s * (sums @ phases)
+    return approx.total_weight / n_s * (sums @ approx.kernel(x))
 
 
 def _certify_sums(approx: FourierApprox, sums: np.ndarray, x: float,
@@ -367,23 +362,21 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                  approx: FourierApprox | None = None, phases=None) -> GSEReport:
     """EstimateGSE, the GSE stage: value = x*/tau.
 
-    The Heaviside approximant is built at delta = tau * epsilon with
-    approximation budget eta/8, the shared (J, Z) pool is drawn once and
-    reduced to its per-batch sums, and the CDF is inverted by the Certify
-    binary search on them.  ``phases`` is the estimate's
-    :func:`hadamard.phase_block`, when it has one.
+    The Heaviside approximant (by default at delta = tau * epsilon with budget
+    eta/8) sets the search resolution delta; the shared (J, Z) pool is drawn
+    once into per-batch sums, which the Certify binary search inverts.
+    ``phases`` is the estimate's :func:`hadamard.phase_block`, when it has one.
     """
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
-    delta = spectral.tau * cfg.epsilon
     approx = approx if approx is not None else _gse_approx(spectral, cfg)
-    n_s, n_b = certify_schedule(approx.total_weight, cfg.eta, nu, delta,
+    n_s, n_b = certify_schedule(approx.total_weight, cfg.eta, nu, approx.delta,
                                 cfg.n_s, cfg.n_b)
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
     sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
-    x_star = _invert_sums(approx, sums, cfg.eta, delta, n_s)
+    x_star = _invert_sums(approx, sums, cfg.eta, approx.delta, n_s)
     return GSEReport(
         value=x_star / spectral.tau, budget=budget, approx=approx, sums=sums,
         intermediate={"x_star": x_star, "d_gse": approx.d,
@@ -411,7 +404,7 @@ def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
     ``nsq_table`` and ``alpha`` are given)."""
     lead = None
     if table.ndim == 2:
-        lead = approx.total_weight * np.exp(1j * (approx.phases + approx.js * x_good))
+        lead = approx.total_weight * approx.kernel(x_good)
     sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
                       nsq_table=nsq_table, alpha=alpha)
     return median_of_means(batch_means(approx, sums, x_good, k), n_g, 1)
@@ -458,6 +451,7 @@ class Denominator:
     """What the stages before the weighted one hand it, and what they spent:
     ``budget`` holds the evolution time and the shots of every stage so far.
 
+    ``stages`` counts the stages sharing nu (:func:`estimate_denominator`).
     ``phases`` is the estimate's phase block (:func:`hadamard.phase_block`,
     degree at least ``approx.d``) until :meth:`take_phases` hands it on.
     """
@@ -465,7 +459,7 @@ class Denominator:
     x_good: float
     approx: FourierApprox
     p0_bar: float
-    nu: float
+    stages: int
     budget: EvolutionBudget
     intermediate: dict
     phases: np.ndarray | None = field(default=None, repr=False)
@@ -477,11 +471,12 @@ class Denominator:
         return phases
 
     def weighted(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
-                 nu: float | None = None, index: int = 0, nsq_table=None,
+                 products: int = 1, index: int = 0, nsq_table=None,
                  alpha=None) -> complex:
-        """Weighted stage on ``table`` at failure probability nu (default the
-        denominator's), drawn from weighted stream ``index`` into ``budget``."""
-        n_g, k = _stage_schedule(self.approx, cfg, self.nu if nu is None else nu,
+        """Weighted stage on ``table``, one of ``products`` that share the
+        weighted stage's failure probability, drawn from weighted stream
+        ``index`` into ``budget``."""
+        n_g, k = _stage_schedule(self.approx, cfg, cfg.nu / (self.stages * products),
                                  two_time=table.ndim == 2, alpha=alpha)
         return weighted_stage(self.approx, table, self.x_good, n_g, k,
                               stage_rng(cfg.seed, "weighted", index=index),
@@ -517,10 +512,15 @@ def _block_tables(spectral: SpectralData, phi0, operator, d: int, phases):
 
 
 def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
-                         nu: float, x_good: float | None = None) -> Denominator:
-    """EstimateGSE at accuracy gamma/8 and the good point (both skipped when
-    ``x_good`` is given), then the overlap p0_bar = C(x_good), which must come
-    out positive; each stage at failure probability nu.
+                         x_good: float | None = None) -> Denominator:
+    """EstimateGSE and the good point (both skipped when ``x_good`` is
+    given), then the overlap p0_bar = C(x_good), which must come out positive.
+
+    The budget split of every pipeline: GSE at accuracy gamma/8 with Fourier
+    budget eta/8; the overlap and weighted stages on the approximant at
+    delta = tau*gamma/5 with budget eta*epsilon/32, each targeting epsilon/4;
+    nu shared evenly over the stages run (GSE, overlap, weighted) and over
+    the ``products`` of the weighted stage (:meth:`Denominator.weighted`).
 
     Both approximants are built first, so one phase block at the larger
     degree serves every table of the estimate; the Denominator hands it on.
@@ -528,6 +528,8 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
+    stages = 3 if x_good is None else 2
+    nu = cfg.nu / stages
     budget, inter = EvolutionBudget(), {"gamma": gamma}
     approx = _property_approx(spectral, cfg)
     if x_good is None:
@@ -551,7 +553,7 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
-    return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, nu=nu,
+    return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, stages=stages,
                        budget=budget, intermediate=inter, phases=phases)
 
 
@@ -576,7 +578,7 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     comm = np.linalg.norm((lam[:, None] - lam) * (v.conj().T @ obs.apply(v)))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
-    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    front = estimate_denominator(spectral, phi0, cfg)
     table = expectation_table_O(spectral, phi0, obs, front.approx.d,
                                 phases=front.take_phases())
     return front.ratio(cfg, table, spectral.tau)
@@ -586,7 +588,7 @@ def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
                             cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a general unitary observable (two-time circuit)."""
     obs = _unitary_observable(o_operator, spectral.dim)
-    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    front = estimate_denominator(spectral, phi0, cfg)
     d = front.approx.d
     # Psi is a temporary of the call: freed, with the phase block, before sampling
     table = expectation_table_2d(
@@ -604,5 +606,5 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     post-selected circuit (:meth:`Denominator.block_ratio`).
     """
     hadamard.as_matrix(block.operator, spectral.dim)  # shape, before any shot
-    front = estimate_denominator(spectral, phi0, cfg, nu=cfg.nu / 3.0)
+    front = estimate_denominator(spectral, phi0, cfg)
     return front.block_ratio(cfg, spectral, phi0, block)

@@ -157,6 +157,10 @@ class FourierApprox:
     def phase(self, j: int) -> float:
         return float(self.phases[j + self.d])
 
+    def kernel(self, x: float) -> np.ndarray:
+        """e^{i(theta_j + j x)} at cell j + d: c_j e^{ijx} / |c_j| over j = -d..d."""
+        return np.exp(1j * (self.phases + self.js * x))
+
 
 def fourier_coefficients_at(d: int, delta: float, epsilon: float) -> np.ndarray:
     """Raw coefficient construction at a fixed degree (no validity search).

@@ -194,11 +194,19 @@ def _evolved_states(spectral: SpectralData, phi0, phases: np.ndarray) -> np.ndar
     return spectral.eigenvectors @ (phases * a[None, :]).T
 
 
+TWO_TIME_ROWS = 512  # bras conjugated at a time: 8 MB of them at dim 1024
+
+
 def _two_time(bras: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """M[r, c] = <bra_r| O |ket_c> from the bra columns and the columns
     O ket_c; with bra_r = e^{i s_r H} phi0 and ket_c = e^{-i t_c H} phi0 this
-    is <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>."""
-    return bras.conj().T @ moved
+    is <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>.  Rows come TWO_TIME_ROWS at
+    a time, so no conjugate copy of all the bras is held."""
+    out = np.empty((bras.shape[1], moved.shape[1]), dtype=complex)
+    for lo in range(0, bras.shape[1], TWO_TIME_ROWS):
+        rows = slice(lo, lo + TWO_TIME_ROWS)
+        np.matmul(bras[:, rows].conj().T, moved, out=out[rows])
+    return out
 
 
 def table_states(spectral: SpectralData, phi0, d: int, *, phases=None) -> np.ndarray:

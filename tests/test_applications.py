@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gspe import (BlockEncoding, EstimationConfig, build_operator, diagonalize,
-                  embed_block, estimate_gsprop_block, estimate_overlap)
-from gspe.applications import (LinearSystemInstance, MajoranaIndex,
-                               annihilation_matrix, assemble_observable,
-                               build_gap_amplified, build_hg,
+                  embed_block, estimate_gsprop_block, estimate_overlap, estimators)
+from gspe.applications import (LinearSystemInstance, annihilation_matrix,
+                               assemble_observable, build_gap_amplified, build_hg,
                                estimate_1rdm_entry, exact_1rdm_entry,
                                majorana_product, majorana_string,
                                prepare_initial_state, qlss_estimate,
@@ -206,13 +205,12 @@ def test_qlss_target_state_in_kernel(kappa4):
 def test_qlss_overlap_floor(kappa4):
     with pytest.raises(PreconditionError):
         qlss_estimate(kappa4, build_operator([(1.0, "ZI")]), 0.05, 0.1,
-                      "oracle", overlap=0.1, seed=0, overlap_floor=0.25)
+                      "oracle", overlap=0.1, seed=0)
 
 
 def test_qlss_schedule_mode(kappa4):
     report = qlss_estimate(kappa4, build_operator([(1.0, "II")]), 0.1, 0.2,
-                           "schedule", seed=3, n_steps=48, step_time=2.5,
-                           overlap_floor=0.25)
+                           "schedule", seed=3)
     assert abs(report.value.real - 1.0) <= 0.1
     assert report.intermediate["kernel_mass"] >= 0.25
 
@@ -238,7 +236,7 @@ def test_majorana_base_cases():
     assert majorana_string(0, 2).word == "XI"
     assert majorana_string(1, 2).word == "YI"
     assert majorana_string(2, 2).word == "ZX"
-    assert majorana_string(MajoranaIndex(mode=1, parity=1), 2).word == "ZY"
+    assert majorana_string(3, 2).word == "ZY"
 
 
 def test_majorana_out_of_range():
@@ -319,6 +317,19 @@ def test_1rdm_hermiticity(hopping_two_modes, rng):
     assert abs(d01 - np.conj(d10)) <= 2 * 0.04
     exact01 = exact_1rdm_entry(s, 0, 1, 2)
     assert abs(d01 - exact01) <= 0.04
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (-1, 0), (5, 5)])
+def test_1rdm_rejects_bad_modes_before_sampling(hopping_two_modes, monkeypatch,
+                                                p, q):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("shots were drawn")
+
+    monkeypatch.setattr(estimators, "_pool_sums", no_sampling)
+    s = hopping_two_modes
+    cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1, seed=0)
+    with pytest.raises(PreconditionError, match="out of range"):
+        estimate_1rdm_entry(s, s.ground_state(), p, q, cfg)
 
 
 def test_1rdm_shares_the_overlap_stage(hopping_two_modes, rng):

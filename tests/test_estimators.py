@@ -707,8 +707,7 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     if pipeline == "rdm":
         # four Majorana products for (p, q) = (0, 1), each at nu/(3 * 4)
         report = estimate_1rdm_entry(s, phi0, 0, 1, cfg)
-        inter = estimators.estimate_denominator(s, phi0, cfg,
-                                                nu=cfg.nu / 3.0).intermediate
+        inter = estimators.estimate_denominator(s, phi0, cfg).intermediate
         n_g, k = mom_schedule(2.0 * inter["total_weight_prop"] ** 4, cfg.eta,
                               cfg.epsilon / 4.0, cfg.nu / (3.0 * 4))
         assert report.shots_used == (inter["n_s"] * inter["n_b"]

@@ -5,8 +5,9 @@
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 config runs as ``python -m gspe.cli`` with that tree first on PYTHONPATH, in
 its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
-``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, the shipped ``sweep-gamma`` sweep
-as shipped and at GSPE_SEED 3 (as the benchmark runs it), and small general,
+``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, ``qlss-kappa4`` with the
+``schedule`` initial state, the shipped ``sweep-gamma`` sweep as shipped and
+at GSPE_SEED 3 (as the benchmark runs it), and small general,
 block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
 alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
 built below.  For every output file it prints ``identical`` or the largest
@@ -61,6 +62,11 @@ def cases():
         config = json.loads((CONFIGS / f"{name}.json").read_text())
         for seed in (0, 1, 2):
             yield f"{name}@{seed}", "run", config, seed
+    # the only CLI path through the schedule preparation
+    qlss = json.loads((CONFIGS / "qlss-kappa4.json").read_text())
+    yield "qlss-schedule", "run", dict(
+        qlss, output="qlss-schedule-record.json",
+        qlss=dict(qlss["qlss"], initial_state_mode="schedule")), None
     sweep = json.loads((CONFIGS / "sweep-gamma.json").read_text())
     yield "sweep-gamma", "sweep", sweep, None
     yield "sweep-gamma@3", "sweep", sweep, 3
