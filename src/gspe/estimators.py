@@ -230,26 +230,33 @@ def _add_sums(sums: np.ndarray, start: int, js, values, group_size: int,
 
 def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
                group_size: int, rng, budget: EvolutionBudget, tau: float, *,
-               lead=None, nsq_table=None, alpha=None) -> np.ndarray:
+               lead=None, law=None, alpha=None) -> np.ndarray:
     """Draw n_groups * group_size shots on ``table`` and return their sums
-    S[g, j + d] over group g and last index j; block-circuit shots when
-    ``nsq_table`` and ``alpha`` are given.
+    S[g, j + d] over group g and last index j; block-circuit shots from the
+    cell law of ``table`` (:func:`hadamard.block_law`) when ``law`` and
+    ``alpha`` are given.
 
     A one-time table draws J per shot, a two-time table J and J'; a two-time
-    shot is multiplied by lead[J + d] before it is added at J'.  The pool
-    runs block by block (stream order in ``hadamard.sample_blocks``), so
-    nothing of its size is allocated.
+    shot is multiplied by lead[J + d] before it is added at J'.  Each shot
+    reads the table, or the law, at one flat cell: J + d, or
+    (J + d)(2d + 1) + (J' + d).  The pool runs block by block (stream order
+    in ``hadamard.sample_blocks``), so nothing of its size is allocated.
     """
     d = approx.d
-    sums = np.zeros((n_groups, 2 * d + 1), dtype=complex)
+    width = 2 * d + 1
+    sums = np.zeros((n_groups, width), dtype=complex)
+    flat = table.reshape(-1)
     for block in hadamard.sample_blocks(n_groups * group_size):
         index = [sample_j_batch(approx, block.stop - block.start, rng)
                  for _ in range(table.ndim)]
-        e = table[tuple(js + d for js in index)]
-        if nsq_table is None:
-            zs = hadamard.draw_xy_pm1(e, rng)
+        cells = index[0] + d
+        if table.ndim == 2:
+            cells *= width
+            cells += index[1] + d
+        if law is None:
+            zs = hadamard.draw_xy_pm1(flat[cells], rng)
         else:
-            zs = hadamard.draw_block_xy(e, nsq_table[index[-1] + d], alpha, rng)
+            zs = hadamard.draw_block_xy(law, cells, alpha, rng)
         budget.add_times(sum(np.abs(js) for js in index) * tau)
         if lead is not None:
             zs *= lead[index[0] + d]
@@ -397,16 +404,16 @@ def good_point(x_star: float, tau: float, gamma: float, *,
 
 def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
                    n_g: int, k: int, rng, budget: EvolutionBudget, tau: float,
-                   *, nsq_table=None, alpha=None) -> complex:
+                   *, law=None, alpha=None) -> complex:
     """Median-of-means estimate at x_good, from n_g * k fresh shots, of
     sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
-    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots when
-    ``nsq_table`` and ``alpha`` are given)."""
+    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots from the
+    cell law of E when ``law`` and ``alpha`` are given)."""
     lead = None
     if table.ndim == 2:
         lead = approx.total_weight * approx.kernel(x_good)
     sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
-                      nsq_table=nsq_table, alpha=alpha)
+                      law=law, alpha=alpha)
     return median_of_means(batch_means(approx, sums, x_good, k), n_g, 1)
 
 
@@ -471,7 +478,7 @@ class Denominator:
         return phases
 
     def weighted(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
-                 products: int = 1, index: int = 0, nsq_table=None,
+                 products: int = 1, index: int = 0, law=None,
                  alpha=None) -> complex:
         """Weighted stage on ``table``, one of ``products`` that share the
         weighted stage's failure probability, drawn from weighted stream
@@ -480,23 +487,24 @@ class Denominator:
                                  two_time=table.ndim == 2, alpha=alpha)
         return weighted_stage(self.approx, table, self.x_good, n_g, k,
                               stage_rng(cfg.seed, "weighted", index=index),
-                              self.budget, tau, nsq_table=nsq_table, alpha=alpha)
+                              self.budget, tau, law=law, alpha=alpha)
 
     def ratio(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
-              nsq_table=None, alpha=None) -> EstimateReport:
+              law=None, alpha=None) -> EstimateReport:
         """:meth:`weighted` on ``table`` divided by p0_bar."""
-        num = self.weighted(cfg, table, tau, nsq_table=nsq_table, alpha=alpha)
+        num = self.weighted(cfg, table, tau, law=law, alpha=alpha)
         return EstimateReport(value=num / self.p0_bar, budget=self.budget,
                               intermediate=dict(self.intermediate, p0o0_bar=num))
 
     def block_ratio(self, cfg: EstimationConfig, spectral: SpectralData, phi0,
                     block: hadamard.BlockEncoding) -> EstimateReport:
         """:meth:`ratio` with two-time shots from the post-selected circuit of
-        ``block``, whose per-shot variance carries an alpha^2 factor."""
+        ``block``, whose per-shot variance carries an alpha^2 factor; the
+        pool draws them from the circuit's cell law, built once here."""
         table, nsq = _block_tables(spectral, phi0, block.operator,
                                    self.approx.d, self.take_phases())
-        report = self.ratio(cfg, table, spectral.tau, nsq_table=nsq,
-                            alpha=block.alpha)
+        law = hadamard.block_law(table, nsq, block.alpha)
+        report = self.ratio(cfg, table, spectral.tau, law=law, alpha=block.alpha)
         report.intermediate["alpha"] = block.alpha
         return report
 

@@ -120,8 +120,9 @@ def _unitarity_deviation(obs: Observable) -> float:
 
     For a signed permutation U^H U is diagonal, holding |m|^2 for the one
     nonzero m of each column, so the norm is max | |m|^2 - 1 |.  Otherwise
-    the Frobenius norm of the Gram deviation G, an O(dim^2) upper bound on
-    ||G||_2 read off one vdot with no temporary, settles every unitary input;
+    U^H U comes from :func:`_two_time`, which holds no conjugate copy of U,
+    and the Frobenius norm of the Gram deviation G, an O(dim^2) upper bound
+    on ||G||_2 read off one vdot with no temporary, settles every unitary input;
     only a bound above the tolerance pays for the exact spectral norm,
     max |eigvalsh(G)|, as G is Hermitian.
     """
@@ -129,7 +130,7 @@ def _unitarity_deviation(obs: Observable) -> float:
         values = obs.values
         return float(np.abs(values.real ** 2 + values.imag ** 2 - 1.0).max())
     mat = obs.matrix
-    gram = mat.conj().T @ mat
+    gram = _two_time(mat, mat)
     gram[np.diag_indices_from(gram)] -= 1.0
     bound = math.sqrt(np.vdot(gram, gram).real)
     if bound <= UNITARY_TOL:
@@ -483,15 +484,41 @@ def draw_xy_pm1(expectations: np.ndarray, rng) -> np.ndarray:
     return _draw_xy(np.asarray(expectations, dtype=complex), rng, pm1)
 
 
-def draw_block_xy(expectations: np.ndarray, nsq: np.ndarray, alpha: float,
-                  rng) -> np.ndarray:
-    """Vector of z = X + iY draws for the post-selected block circuit."""
-    e = np.asarray(expectations, dtype=complex)
-    p_succ = 0.5 * (1.0 + np.asarray(nsq, dtype=float) / alpha ** 2)
+def block_law(table: np.ndarray, nsq: np.ndarray, alpha: float) -> np.ndarray:
+    """Outcome law of the post-selected block circuit on every cell of the
+    two-time table, for :func:`draw_block_xy`.
 
-    def three(part, u):
+    Row (j + d)(2d + 1) + (j' + d), the cell's flat index in ``table``,
+    holds [P(X = +alpha), P(X != 0), P(Y = +alpha), P(Y != 0)].  With
+    p_succ = (1 + nsq[j' + d] / alpha^2) / 2, which depends on the first
+    evolution j' alone, and e = table[j + d, j' + d]:
+    P(X = +alpha) = clip((p_succ + Re e / alpha) / 2, 0, 1), likewise
+    P(X = -alpha) with - Re e, and P(X != 0) is their sum; Y reads Im e.
+    """
+    p_succ = 0.5 * (1.0 + nsq[None, :] / alpha ** 2)
+    law = np.empty(table.shape + (4,))
+    for col, part in ((0, table.real), (2, table.imag)):
         plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
         minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
-        return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
+        law[..., col] = plus
+        law[..., col + 1] = plus + minus
+    return law.reshape(-1, 4)
 
-    return _draw_xy(e, rng, three)
+
+def draw_block_xy(law: np.ndarray, cells: np.ndarray, alpha: float,
+                  rng) -> np.ndarray:
+    """Vector of z = X + iY draws for the post-selected block circuit, one
+    per flat cell in ``cells``, from the cell law of :func:`block_law`.
+
+    A uniform u gives +alpha below P(= +alpha), -alpha below P(!= 0) and 0
+    above it: the count of thresholds u clears indexes [alpha, -alpha, 0].
+    Every X is drawn before any Y.
+    """
+    rows = np.take(law, cells, axis=0)  # law[cells]; take gathers rows faster
+    values = np.array([alpha, -alpha, 0.0])
+    z = np.empty(rows.shape[0], dtype=complex)
+    for out, col in ((z.real, 0), (z.imag, 2)):
+        u = rng.random(rows.shape[0])
+        out[...] = values.take((u >= rows[:, col]).view(np.uint8)
+                               + (u >= rows[:, col + 1]).view(np.uint8))
+    return z

@@ -20,8 +20,8 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              g_estimator, invert_cdf, mom_schedule, sample_J,
                              sample_j_batch, weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
-from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, draw_xy_pm1, observable,
-                           outcome_distribution_1d, sample_blocks)
+from gspe.hadamard import (SAMPLE_BLOCK, block_law, draw_block_xy, draw_xy_pm1,
+                           observable, outcome_distribution_1d, sample_blocks)
 from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
 from conftest import kron_word, random_hermitian, random_unitary
@@ -237,17 +237,19 @@ def test_g2_empirical_variance(small_approx):
     assert var <= 2.0 * a.total_weight ** 4
 
 
-def _replay_pool(approx, table, n, rng, nsq=None, alpha=None):
+def _replay_pool(approx, table, n, rng, law=None, alpha=None):
     """Per-shot arrays (J, [J',] Z) of a pool drawn as the pipelines draw it,
-    with the public samplers: per block, J (and J'), then all X, then all Y."""
+    with the public samplers: per block, J (and J'), then all X, then all Y;
+    block-circuit shots read the law at flat cell (J + d)(2d + 1) + (J' + d)."""
     d = approx.d
     parts = []
     for block in sample_blocks(n):
         index = [sample_j_batch(approx, block.stop - block.start, rng)
                  for _ in range(table.ndim)]
         e = table[tuple(js + d for js in index)]
-        zs = (draw_xy_pm1(e, rng) if nsq is None
-              else draw_block_xy(e, nsq[index[-1] + d], alpha, rng))
+        zs = (draw_xy_pm1(e, rng) if law is None
+              else draw_block_xy(law, (index[0] + d) * (2 * d + 1) + index[1] + d,
+                                 alpha, rng))
         parts.append((*index, zs))
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -271,10 +273,11 @@ def test_weighted_stage_replays_public_draws(small_approx, kind):
     else:
         o_mat = random_hermitian(gen, spectral.dim, norm=0.9)
         table = expectation_table_2d(spectral, phi0, o_mat, d)
-        extra = {"nsq_table": block_norm_table(spectral, phi0, o_mat, d),
+        extra = {"law": block_law(table, block_norm_table(spectral, phi0, o_mat, d),
+                                  1.2),
                  "alpha": 1.2}
     *index, zs = _replay_pool(a, table, n_g * k, np.random.default_rng(41),
-                              extra.get("nsq_table"), extra.get("alpha"))
+                              extra.get("law"), extra.get("alpha"))
     phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
     values = zs * np.prod([phase[js + d] for js in index], axis=0)
     times = sum(np.abs(js) for js in index) * tau

@@ -9,8 +9,9 @@ from scipy import linalg as sla
 from gspe import PauliString, build_operator, diagonalize, embed_block
 from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            BlockEncodingError, NotUnitaryError,
-                           block_circuit_distribution, block_norm_table,
-                           block_success_prob, draw_block_xy, draw_xy_pm1,
+                           block_circuit_distribution, block_law,
+                           block_norm_table, block_success_prob,
+                           draw_block_xy, draw_xy_pm1,
                            exact_expectation_1d, exact_expectation_2d,
                            exact_expectation_block, exact_expectation_O,
                            expectation_table_1d, expectation_table_2d,
@@ -344,7 +345,9 @@ def test_blocked_draws_match_full_size_draws():
         return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
 
     block = three(ux, e.real) + 1j * three(uy, e.imag)
-    assert np.array_equal(draw_block_xy(e, nsq, alpha, np.random.default_rng(9)),
+    law = block_law(e[None, :], nsq, alpha)
+    cells = np.arange(n)
+    assert np.array_equal(draw_block_xy(law, cells, alpha, np.random.default_rng(9)),
                           block)
 
 
@@ -493,6 +496,41 @@ def test_block_tables_match_block_circuit_everywhere(rng, n):
             assert abs(nsq[j2 + d] - alpha ** 2 * (1.0 - 2.0 * pf)) <= 1e-10
 
 
+def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
+    """Row (j + d)(2d + 1) + (j' + d) of the law holds, bit for bit, the
+    thresholds of a shot at (j, j') from e = table[j + d, j' + d] and
+    p_succ = (1 + nsq[j' + d] / alpha^2) / 2, and matches the literal
+    circuit's [P(+alpha), P(!= 0)] for X and for Y."""
+    _, s, phi = _random_instance(rng, 2)
+    o = random_hermitian(rng, 4, norm=0.9)
+    alpha, d = 1.2, 3
+    width = 2 * d + 1
+    table = expectation_table_2d(s, phi, o, d)
+    nsq = block_norm_table(s, phi, o, d)
+    law = block_law(table, nsq, alpha)
+    assert law.shape == (width * width, 4)
+    js, js2 = rng.integers(-d, d + 1, size=(2, 500))
+    e = table[js + d, js2 + d]
+    p_succ = 0.5 * (1.0 + nsq[js2 + d] / alpha ** 2)
+    shots = []
+    for part in (e.real, e.imag):
+        plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
+        minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
+        shots += [plus, plus + minus]
+    gathered = law[(js + d) * width + (js2 + d)]
+    assert gathered.tobytes() == np.stack(shots, axis=1).tobytes()
+    b = embed_block(o, alpha)
+    for j in range(-d, d + 1):
+        for j2 in range(-d, d + 1):
+            circuit = []
+            for w in ("I", "S"):
+                pf, plus, _ = block_circuit_distribution(s, phi, b, j2 * s.tau,
+                                                         j * s.tau, w)
+                circuit += [plus, 1.0 - pf]
+            assert np.allclose(law[(j + d) * width + (j2 + d)], circuit,
+                               rtol=0.0, atol=1e-10)
+
+
 def test_block_success_frequency(rng):
     h, s, phi = _random_instance(rng, 2)
     o = random_hermitian(rng, 4, norm=0.9)
@@ -503,8 +541,8 @@ def test_block_success_frequency(rng):
     e = exact_expectation_block(s, phi, o, t1, 0.3)
     nsq = np.linalg.norm(o @ (_dense_expm(h, t1) @ phi)) ** 2
     n = 10 ** 5
-    zs = draw_block_xy(np.full(n, e), np.full(n, nsq), alpha,
-                       np.random.default_rng(123))
+    zs = draw_block_xy(block_law(np.array([[e]]), np.array([nsq]), alpha),
+                       np.zeros(n, dtype=int), alpha, np.random.default_rng(123))
     succ_freq = np.mean(zs.real != 0.0)
     sigma = math.sqrt(p_succ * (1 - p_succ) / n)
     assert abs(succ_freq - p_succ) <= 5 * sigma
