@@ -81,12 +81,18 @@ class EvolutionBudget:
     total_time: float = field(default=0.0, init=False)
     shots: int = field(default=0, init=False)
 
-    def add_times(self, times: np.ndarray) -> None:
-        """Spend the shots whose evolution times are ``times``, one each."""
-        self.shots += times.size
+    def add_times(self, times: np.ndarray, counts: np.ndarray | None = None) -> None:
+        """Spend the shots whose evolution times are ``times``, one each, or
+        counts[i] shots of time times[i] when ``counts`` is given."""
+        if counts is not None:
+            self.shots += int(counts.sum())
+            self.total_time += float(times @ counts)
+            times = times[counts > 0]
+        else:
+            self.shots += times.size
+            self.total_time += float(times.sum())
         if times.size:
             self.max_time = max(self.max_time, float(times.max()))
-            self.total_time += float(times.sum())
 
 
 @dataclass
@@ -149,8 +155,19 @@ def sample_j_batch(approx: FourierApprox, size: int, rng) -> np.ndarray:
         raise EstimationError("total Fourier weight must be positive")
     accept, alias = approx.alias_tables
     cell = rng.integers(0, accept.size, size=size)
-    keep = rng.random(size) < accept[cell]
-    return np.where(keep, cell, alias[cell]) - approx.d
+    keep = rng.random(size) < accept.take(cell)
+    # pick[cell] is the alias of cell, pick[cell + n] the cell itself, both as j
+    pick = np.concatenate((alias, np.arange(accept.size))) - approx.d
+    np.add(cell, accept.size, out=cell, where=keep)
+    return pick.take(cell)
+
+
+def sample_j_counts(approx: FourierApprox, size: int, rng) -> np.ndarray:
+    """How many of ``size`` draws of J land on each cell j + d:
+    n ~ Multinomial(size, |c_j| / total_weight)."""
+    if approx.total_weight <= 0.0:
+        raise EstimationError("total Fourier weight must be positive")
+    return rng.multinomial(size, approx.abs_coefficients / approx.total_weight)
 
 
 def sample_J(approx: FourierApprox, rng) -> int:
@@ -214,53 +231,54 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
 
 # --- pooled sampling ----------------------------------------------------------
 
-def _add_sums(sums: np.ndarray, start: int, js, values, group_size: int,
-              d: int) -> None:
-    """sums[g, j + d] += the values of shots start, start + 1, ... whose
-    group (shot index // group_size) is g and whose last index is j."""
-    width = sums.shape[1]
-    first, stop = start // group_size, -(-(start + js.size) // group_size)
-    rows = np.arange(start, start + js.size) // group_size - first
-    flat = rows * width + (js + d)
-    size = (stop - first) * width
-    re = np.bincount(flat, weights=values.real, minlength=size)
-    im = np.bincount(flat, weights=values.imag, minlength=size)
-    sums[first:stop] += (re + 1j * im).reshape(-1, width)
-
-
 def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
                group_size: int, rng, budget: EvolutionBudget, tau: float, *,
                lead=None, law=None, alpha=None) -> np.ndarray:
     """Draw n_groups * group_size shots on ``table`` and return their sums
     S[g, j + d] over group g and last index j; block-circuit shots from the
     cell law of ``table`` (:func:`hadamard.block_law`) when ``law`` and
-    ``alpha`` are given.
+    ``alpha`` are given, +-1 shots from :func:`hadamard.pm1_law` otherwise.
 
-    A one-time table draws J per shot, a two-time table J and J'; a two-time
-    shot is multiplied by lead[J + d] before it is added at J'.  Each shot
-    reads the table, or the law, at one flat cell: J + d, or
-    (J + d)(2d + 1) + (J' + d).  The pool runs block by block (stream order
-    in ``hadamard.sample_blocks``), so nothing of its size is allocated.
+    The last index is J of a one-time table and J' of a two-time one, whose
+    shots also draw J and are multiplied by lead[J + d].  Shots in a group
+    are exchangeable and S reads them only by last index, so each group
+    first draws its last-index counts (:func:`sample_j_counts`) and lays its
+    shots out in cell order.  Then, chunk by chunk
+    (:func:`hadamard.sample_blocks` of the group), it draws J per shot
+    (two-time only), then X, then Y per shot from the law at the shot's flat
+    cell, j + d or (j' + d)(2d + 1) + (j + d), and adds each run of equal
+    last index into S.  So nothing of a group's size is allocated.
     """
     d = approx.d
     width = 2 * d + 1
+    two_time = table.ndim == 2
+    if law is None:
+        law = hadamard.pm1_law(table)
+    steps = np.abs(approx.js)
     sums = np.zeros((n_groups, width), dtype=complex)
-    flat = table.reshape(-1)
-    for block in hadamard.sample_blocks(n_groups * group_size):
-        index = [sample_j_batch(approx, block.stop - block.start, rng)
-                 for _ in range(table.ndim)]
-        cells = index[0] + d
-        if table.ndim == 2:
-            cells *= width
-            cells += index[1] + d
-        if law is None:
-            zs = hadamard.draw_xy_pm1(flat[cells], rng)
-        else:
-            zs = hadamard.draw_block_xy(law, cells, alpha, rng)
-        budget.add_times(sum(np.abs(js) for js in index) * tau)
-        if lead is not None:
-            zs *= lead[index[0] + d]
-        _add_sums(sums, block.start, index[-1], zs, group_size, d)
+    for group in sums:
+        counts = sample_j_counts(approx, group_size, rng)
+        ends = np.cumsum(counts)
+        if not two_time:
+            budget.add_times(steps * tau, counts)
+        for chunk in hadamard.sample_blocks(group_size):
+            stops = np.clip(ends, chunk.start, chunk.stop)
+            sizes = np.diff(stops, prepend=chunk.start)
+            last = np.flatnonzero(sizes)
+            runs = stops[last] - sizes[last] - chunk.start
+            cells = np.repeat(last, sizes[last])
+            if two_time:
+                first = sample_j_batch(approx, chunk.stop - chunk.start, rng) + d
+                budget.add_times((steps.take(first) + steps.take(cells)) * tau)
+                cells *= width
+                cells += first
+            if alpha is None:
+                zs = hadamard.draw_xy_pm1(law, cells, rng)
+            else:
+                zs = hadamard.draw_block_xy(law, cells, alpha, rng)
+            if two_time:
+                zs *= lead.take(first)
+            group[last] += np.add.reduceat(zs, runs)
     return sums
 
 
@@ -268,12 +286,14 @@ def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
 
 def _shot_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarray:
     """S[r, j + d] of the first n_b batches of n_s caller-supplied shots."""
-    if js.size < n_s * n_b:
-        raise EstimationError(
-            f"certify needs {n_s * n_b} pooled samples, got {js.size}")
-    sums = np.zeros((n_b, 2 * approx.d + 1), dtype=complex)
-    _add_sums(sums, 0, js[:n_s * n_b], zs[:n_s * n_b], n_s, approx.d)
-    return sums
+    n = n_s * n_b
+    if js.size < n:
+        raise EstimationError(f"certify needs {n} pooled samples, got {js.size}")
+    size = n_b * (2 * approx.d + 1)
+    flat = np.arange(n) // n_s * (2 * approx.d + 1) + js[:n] + approx.d
+    re = np.bincount(flat, weights=zs[:n].real, minlength=size)
+    im = np.bincount(flat, weights=zs[:n].imag, minlength=size)
+    return (re + 1j * im).reshape(n_b, -1)
 
 
 def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,

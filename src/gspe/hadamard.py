@@ -181,12 +181,13 @@ def _phase_rows(spectral: SpectralData, d: int, phases) -> np.ndarray:
 
 
 def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
-    """w_k = <phi0|O|k><k|phi0>, the weights of <phi0| O e^{-i j tau H} |phi0>."""
+    """w_k = <phi0|O|k><k|phi0>, the weights of <phi0| O e^{-i j tau H} |phi0>.
+
+    <phi0|O|k> is entry k of phi0^H O V, so neither O nor V is conjugated."""
     phi0 = as_state(phi0, dim=spectral.dim)
     o_mat = as_matrix(o_matrix, spectral.dim)
     a = spectral.to_eigenbasis(phi0)
-    b = spectral.eigenvectors.conj().T @ (o_mat.conj().T @ phi0)
-    return b.conj() * a
+    return ((phi0.conj() @ o_mat) @ spectral.eigenvectors) * a
 
 
 def _evolved_states(spectral: SpectralData, phi0, phases: np.ndarray) -> np.ndarray:
@@ -456,48 +457,62 @@ def sample_blocks(size: int):
     2 * SAMPLE_BLOCK, else SAMPLE_BLOCK elements each with the remainder
     folded into the last.
 
-    Shot pools run block by block, so a pool of millions of shots allocates
-    no per-shot array of its size.  Within each block the generator stream
-    is consumed in a fixed order: J, then J' for two-time pools, then all X
-    of the block, then all Y.  A seeded pool's shots therefore depend on
-    SAMPLE_BLOCK.
+    A shot pool draws each of its groups in these chunks, so a pool of
+    millions of shots allocates no per-shot array of its size, nor of a
+    group's; the stream order is in ``estimators._pool_sums``.
     """
     bounds = [SAMPLE_BLOCK * i for i in range(max(1, size // SAMPLE_BLOCK))]
     for lo, hi in zip(bounds, bounds[1:] + [size]):
         yield slice(lo, hi)
 
 
-def _draw_xy(e: np.ndarray, rng, draw) -> np.ndarray:
-    """z = X + iY with X = draw(Re e, u) and Y = draw(Im e, u'); every X is
-    drawn before any Y."""
-    z = np.empty(e.shape, dtype=complex)
-    z.real = draw(e.real, rng.random(e.shape))
-    z.imag = draw(e.imag, rng.random(e.shape))
-    return z
+def pm1_law(table: np.ndarray) -> np.ndarray:
+    """Outcome law of the +-1 Hadamard test on every cell of ``table``, for
+    :func:`draw_xy_pm1`.
+
+    Row c holds [P(X = +1), P(Y = +1)] = [clip((1 + Re e) / 2, 0, 1),
+    clip((1 + Im e) / 2, 0, 1)] for the entry e at flat cell c: j + d of a
+    one-time table, (j' + d)(2d + 1) + (j + d) of a two-time one (J' major,
+    as in :func:`block_law`).
+    """
+    cells = table.T  # J' major; a one-time table stays as it is
+    law = np.empty(cells.shape + (2,))
+    for col, part in ((0, cells.real), (1, cells.imag)):
+        law[..., col] = np.clip(0.5 * (1.0 + part), 0.0, 1.0)
+    return law.reshape(-1, 2)
 
 
-def draw_xy_pm1(expectations: np.ndarray, rng) -> np.ndarray:
-    """Vector of z = X + iY draws given exact target expectations."""
-    def pm1(part, u):
-        return np.where(u < np.clip(0.5 * (1.0 + part), 0.0, 1.0), 1.0, -1.0)
+def draw_xy_pm1(law: np.ndarray, cells: np.ndarray, rng) -> np.ndarray:
+    """Vector of z = X + iY draws of the +-1 Hadamard test, one per flat
+    cell in ``cells``, from the cell law of :func:`pm1_law`.
 
-    return _draw_xy(np.asarray(expectations, dtype=complex), rng, pm1)
+    A uniform u gives +1 below the cell's P(= +1) and -1 at or above it.
+    Every X is drawn before any Y.
+    """
+    rows = np.take(law, cells, axis=0)  # law[cells]; take gathers rows faster
+    z = np.empty(rows.shape)
+    np.less(rng.random((2, rows.shape[0])).T, rows, out=z)
+    z *= 2.0
+    z -= 1.0
+    return z.view(complex).reshape(-1)
 
 
 def block_law(table: np.ndarray, nsq: np.ndarray, alpha: float) -> np.ndarray:
     """Outcome law of the post-selected block circuit on every cell of the
     two-time table, for :func:`draw_block_xy`.
 
-    Row (j + d)(2d + 1) + (j' + d), the cell's flat index in ``table``,
-    holds [P(X = +alpha), P(X != 0), P(Y = +alpha), P(Y != 0)].  With
-    p_succ = (1 + nsq[j' + d] / alpha^2) / 2, which depends on the first
-    evolution j' alone, and e = table[j + d, j' + d]:
-    P(X = +alpha) = clip((p_succ + Re e / alpha) / 2, 0, 1), likewise
-    P(X = -alpha) with - Re e, and P(X != 0) is their sum; Y reads Im e.
+    Row (j' + d)(2d + 1) + (j + d), the cell's flat index with J' as the
+    major axis (:func:`pm1_law`), holds [P(X = +alpha), P(X != 0),
+    P(Y = +alpha), P(Y != 0)].  With p_succ = (1 + nsq[j' + d] / alpha^2) / 2,
+    which depends on the first evolution j' alone, and
+    e = table[j + d, j' + d]: P(X = +alpha) = clip((p_succ + Re e / alpha) / 2,
+    0, 1), likewise P(X = -alpha) with - Re e, and P(X != 0) is their sum;
+    Y reads Im e.
     """
-    p_succ = 0.5 * (1.0 + nsq[None, :] / alpha ** 2)
-    law = np.empty(table.shape + (4,))
-    for col, part in ((0, table.real), (2, table.imag)):
+    cells = table.T  # J' major
+    p_succ = 0.5 * (1.0 + nsq[:, None] / alpha ** 2)
+    law = np.empty(cells.shape + (4,))
+    for col, part in ((0, cells.real), (2, cells.imag)):
         plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
         minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
         law[..., col] = plus

@@ -54,8 +54,9 @@ class SpectralData:
         return self.eigenvectors[:, 0].copy()
 
     def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
+        """V^H vec, formed as conj(vec^H V): no conjugate copy of V."""
         vec = as_state(vec, dim=self.dim)
-        return self.eigenvectors.conj().T @ vec
+        return (vec.conj() @ self.eigenvectors).conj()
 
 
 def _as_dense_hermitian(H) -> np.ndarray:

@@ -17,11 +17,13 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              bracket_iterations, certify, certify_schedule,
                              expectation_table_1d, expectation_table_2d,
                              EvolutionBudget, block_norm_table, g2_estimator,
-                             g_estimator, invert_cdf, mom_schedule, sample_J,
-                             sample_j_batch, weighted_stage)
+                             batch_means, g_estimator, invert_cdf,
+                             mom_schedule, sample_J, sample_j_batch,
+                             sample_j_counts, weighted_stage)
 from gspe.fourier import FourierApprox, build_fourier_approx
 from gspe.hadamard import (SAMPLE_BLOCK, block_law, draw_block_xy, draw_xy_pm1,
-                           observable, outcome_distribution_1d, sample_blocks)
+                           observable, outcome_distribution_1d, pm1_law,
+                           sample_blocks)
 from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
 from conftest import kron_word, random_hermitian, random_unitary
@@ -63,6 +65,7 @@ def test_sample_j_degenerate_distribution():
                            phases=np.angle(coeffs), total_weight=0.5)
     rng = np.random.default_rng(0)
     assert all(sample_J(approx, rng) == 0 for _ in range(50))
+    assert sample_j_counts(approx, 50, rng).tolist() == [0, 0, 50, 0, 0]
 
 
 def test_sample_j_symmetry(small_approx):
@@ -156,7 +159,7 @@ def test_g_estimator_empirical_variance(small_approx):
     n = 10 ** 5
     js = sample_j_batch(a, n, rng)
     e_table = expectation_table_1d(spectral, phi0, a.d)
-    zs = draw_xy_pm1(e_table[js + a.d], rng)
+    zs = draw_xy_pm1(pm1_law(e_table), js + a.d, rng)
     values = g_estimator(a, 0.1, js, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 2
@@ -231,67 +234,108 @@ def test_g2_empirical_variance(small_approx):
     j1 = sample_j_batch(a, n, rng)
     j2 = sample_j_batch(a, n, rng)
     table = expectation_table_2d(spectral, phi0, o_mat, a.d)
-    zs = draw_xy_pm1(table[j1 + a.d, j2 + a.d], rng)
+    zs = draw_xy_pm1(pm1_law(table), (j2 + a.d) * (2 * a.d + 1) + j1 + a.d, rng)
     values = g2_estimator(a, 0.2, 0.2, j1, j2, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 4
 
 
-def _replay_pool(approx, table, n, rng, law=None, alpha=None):
+def _replay_pool(approx, table, n_groups, group_size, rng, law=None, alpha=None):
     """Per-shot arrays (J, [J',] Z) of a pool drawn as the pipelines draw it,
-    with the public samplers: per block, J (and J'), then all X, then all Y;
-    block-circuit shots read the law at flat cell (J + d)(2d + 1) + (J' + d)."""
+    with the public samplers: per group, the last-index counts
+    (``rng.multinomial``) laid out in cell order; then per chunk of the group,
+    J for a two-time table, then all X, then all Y, from the cell law at flat
+    cell j + d or (j' + d)(2d + 1) + (j + d)."""
     d = approx.d
+    law = pm1_law(table) if law is None else law
+    probs = approx.abs_coefficients / approx.total_weight
     parts = []
-    for block in sample_blocks(n):
-        index = [sample_j_batch(approx, block.stop - block.start, rng)
-                 for _ in range(table.ndim)]
-        e = table[tuple(js + d for js in index)]
-        zs = (draw_xy_pm1(e, rng) if law is None
-              else draw_block_xy(law, (index[0] + d) * (2 * d + 1) + index[1] + d,
-                                 alpha, rng))
-        parts.append((*index, zs))
+    for _ in range(n_groups):
+        last = np.repeat(approx.js, rng.multinomial(group_size, probs))
+        for chunk in sample_blocks(group_size):
+            index, cells = [last[chunk]], last[chunk] + d
+            if table.ndim == 2:
+                index.insert(0, sample_j_batch(approx, cells.size, rng))
+                cells = cells * (2 * d + 1) + index[0] + d
+            zs = (draw_xy_pm1(law, cells, rng) if alpha is None
+                  else draw_block_xy(law, cells, alpha, rng))
+            parts.append((*index, zs))
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _per_shot_pool(approx, table, n_groups, group_size, rng, law=None, alpha=None):
+    """The reference pool the count path must match in law: every shot draws
+    J (and J') by :func:`sample_j_batch` and then X + iY, one shot after
+    another; returns the sums S[g, j + d] over group g and last index j of
+    the values z, times lead[J + d] = W e^{i(theta_J + J x)} at x = 0.3 for
+    a two-time table."""
+    d = approx.d
+    law = pm1_law(table) if law is None else law
+    n = n_groups * group_size
+    index = [sample_j_batch(approx, n, rng) for _ in range(table.ndim)]
+    cells = index[-1] + d
+    if table.ndim == 2:
+        cells = cells * (2 * d + 1) + index[0] + d
+    zs = (draw_xy_pm1(law, cells, rng) if alpha is None
+          else draw_block_xy(law, cells, alpha, rng))
+    if table.ndim == 2:
+        zs *= approx.total_weight * approx.kernel(0.3)[index[0] + d]
+    flat = np.arange(n) // group_size * (2 * d + 1) + index[-1] + d
+    size = n_groups * (2 * d + 1)
+    return (np.bincount(flat, zs.real, size)
+            + 1j * np.bincount(flat, zs.imag, size)).reshape(n_groups, -1)
+
+
+def _pool_case(kind, d):
+    """(spectral, table, law, alpha, second) of a small pool of ``kind``;
+    second[j' + d] is E[X^2] = E[Y^2] of a shot at first evolution j': 1 for
+    +-1 shots, alpha^2 p_succ(j') for the block circuit.  The two-time
+    tables are not symmetric, so swapping J and J' or the law's major axis
+    moves the mean of S."""
+    spectral = _spectral_at([-0.4, 0.1])
+    phi0 = _state_with_weights(spectral, [0.5, 0.5])
+    gen = np.random.default_rng(3)
+    second = np.ones(2 * d + 1)
+    if kind == "one-time":
+        return spectral, expectation_table_1d(spectral, phi0, d), None, None, second
+    if kind == "two-time":
+        table = expectation_table_2d(spectral, phi0,
+                                     random_unitary(gen, spectral.dim), d)
+        return spectral, table, None, None, second
+    o_mat = random_hermitian(gen, spectral.dim, norm=0.9)
+    table = expectation_table_2d(spectral, phi0, o_mat, d)
+    alpha = 1.2
+    nsq = block_norm_table(spectral, phi0, o_mat, d)
+    second = 0.5 * (alpha ** 2 + nsq)  # alpha^2 p_succ
+    return spectral, table, block_law(table, nsq, alpha), alpha, second
 
 
 @pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
 def test_weighted_stage_replays_public_draws(small_approx, kind):
     """The weighted stage keeps only per-group sums of its pool; its estimate
     and budget equal the per-shot formulas on the same draws, with groups
-    that straddle the sampling blocks."""
-    spectral = _spectral_at([-0.4, 0.1])
-    phi0 = _state_with_weights(spectral, [0.5, 0.5])
-    a, d, tau, x = small_approx, small_approx.d, spectral.tau, 0.3
-    n_g, k = 3, SAMPLE_BLOCK + 7
-    gen = np.random.default_rng(3)
-    extra = {}
-    if kind == "one-time":
-        table = expectation_table_1d(spectral, phi0, d)
-    elif kind == "two-time":
-        table = expectation_table_2d(spectral, phi0,
-                                     random_unitary(gen, spectral.dim), d)
-    else:
-        o_mat = random_hermitian(gen, spectral.dim, norm=0.9)
-        table = expectation_table_2d(spectral, phi0, o_mat, d)
-        extra = {"law": block_law(table, block_norm_table(spectral, phi0, o_mat, d),
-                                  1.2),
-                 "alpha": 1.2}
-    *index, zs = _replay_pool(a, table, n_g * k, np.random.default_rng(41),
-                              extra.get("law"), extra.get("alpha"))
+    of several sampling chunks."""
+    a, d, x = small_approx, small_approx.d, 0.3
+    spectral, table, law, alpha, _ = _pool_case(kind, d)
+    tau = spectral.tau
+    n_g, k = 3, 2 * SAMPLE_BLOCK + 7
+    *index, zs = _replay_pool(a, table, n_g, k, np.random.default_rng(41),
+                              law, alpha)
     phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
     values = zs * np.prod([phase[js + d] for js in index], axis=0)
     times = sum(np.abs(js) for js in index) * tau
     budget = EvolutionBudget()
     got = weighted_stage(a, table, x, n_g, k, np.random.default_rng(41),
-                         budget, tau, **extra)
+                         budget, tau, law=law, alpha=alpha)
     assert abs(got - median_of_means(values, n_g, k)) <= 1e-12
+    assert budget.shots == n_g * k
     assert budget.max_time == float(times.max())
     assert abs(budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
 
 
 def test_gse_sums_replay_public_draws(small_approx):
     """The GSE pool's per-batch sums equal those of the per-shot arrays drawn
-    by the public samplers, with batches that straddle the sampling blocks."""
+    by the public samplers, over many one-chunk batches."""
     spectral = _spectral_at([-0.4, 0.1])
     phi0 = _state_with_weights(spectral, [0.5, 0.5])
     n_s, n_b = SAMPLE_BLOCK // 2 + 3, 7
@@ -299,15 +343,81 @@ def test_gse_sums_replay_public_draws(small_approx):
                            nu=0.1, n_s=n_s, n_b=n_b)
     gse = estimate_gse(spectral, phi0, cfg, rng=np.random.default_rng(41))
     a, d = gse.approx, gse.approx.d
-    js, zs = _replay_pool(a, expectation_table_1d(spectral, phi0, d), n_s * n_b,
+    js, zs = _replay_pool(a, expectation_table_1d(spectral, phi0, d), n_b, n_s,
                           np.random.default_rng(41))
     flat = np.arange(n_b).repeat(n_s) * (2 * d + 1) + (js + d)
     want = (np.bincount(flat, weights=zs.real, minlength=n_b * (2 * d + 1))
             + 1j * np.bincount(flat, weights=zs.imag, minlength=n_b * (2 * d + 1)))
     assert np.abs(gse.sums - want.reshape(n_b, 2 * d + 1)).max() <= 1e-12
     times = np.abs(js) * spectral.tau
+    assert gse.budget.shots == n_s * n_b
     assert gse.budget.max_time == float(times.max())
     assert abs(gse.budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
+
+
+def _exact_sum_moments(approx, table, second, group_size):
+    """Mean of S[g, j' + d] and the variances of its real and imaginary
+    parts, from the tables: a shot lands at last index j' with probability
+    p_j', and given (J, J') its value lead[J + d] (X + iY) (lead = 1 on a
+    one-time table) has independent X and Y with E[X + iY] = table[J, J']
+    and E[X^2] = E[Y^2] = second[J' + d]."""
+    p = approx.abs_coefficients / approx.total_weight
+    if table.ndim == 1:
+        lead, e, q = np.ones(1), table[None, :], np.ones(1)
+    else:
+        lead, e, q = approx.total_weight * approx.kernel(0.3), table, p
+    mean = (q * lead) @ e
+    # E[Re(lead z)^2] = |lead|^2 E[X^2] - 2 Re(lead) Im(lead) E[X] E[Y], and
+    # E[Im(lead z)^2] the same with + (E[X^2] = E[Y^2])
+    power = ((q * np.abs(lead) ** 2)[:, None] * second).sum(axis=0)
+    cross = ((2 * q * lead.real * lead.imag)[:, None] * e.real * e.imag).sum(axis=0)
+    var_re = group_size * (p * (power - cross) - (p * mean.real) ** 2)
+    var_im = group_size * (p * (power + cross) - (p * mean.imag) ** 2)
+    return group_size * p * mean, var_re, var_im
+
+
+@pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
+def test_pool_sums_have_the_exact_mean(kind):
+    """Over many groups, each cell of S averages to k p_j' E[lead z | j'],
+    computed from the tables, within 5 standard errors, and the standardized
+    residuals of all cells pass a chi-square test."""
+    a = build_fourier_approx(0.4, 0.05)
+    spectral, table, law, alpha, second = _pool_case(kind, a.d)
+    n_g, k = 400, 500
+    lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
+    sums = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(8),
+                                 EvolutionBudget(), spectral.tau, lead=lead,
+                                 law=law, alpha=alpha)
+    mean, var_re, var_im = _exact_sum_moments(a, table, second, k)
+    keep = a.abs_coefficients / a.total_weight * k * n_g >= 100
+    resid = np.concatenate([
+        (sums.real.mean(axis=0) - mean.real)[keep] / np.sqrt(var_re[keep] / n_g),
+        (sums.imag.mean(axis=0) - mean.imag)[keep] / np.sqrt(var_im[keep] / n_g)])
+    assert np.abs(resid).max() <= 5.0
+    assert stats.chi2.sf(float(resid @ resid), resid.size) >= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
+def test_pool_sums_match_per_shot_pool_in_law(kind):
+    """Group means at x from the count path and from the per-shot reference
+    pool (:func:`_per_shot_pool`) pass two-sample KS tests, real and
+    imaginary parts, as do the sums of the three most likely cells."""
+    a = build_fourier_approx(0.4, 0.05)
+    spectral, table, law, alpha, _ = _pool_case(kind, a.d)
+    n_g, k = 300, 400
+    lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
+    counted = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(9),
+                                    EvolutionBudget(), spectral.tau, lead=lead,
+                                    law=law, alpha=alpha)
+    per_shot = _per_shot_pool(a, table, n_g, k, np.random.default_rng(10),
+                              law, alpha)
+    top = np.argsort(a.abs_coefficients)[-3:]
+    columns = [lambda s: batch_means(a, s, -0.2, k)] + [
+        (lambda s, c=c: s[:, c]) for c in top]
+    for column in columns:
+        for part in (np.real, np.imag):
+            left, right = part(column(counted)), part(column(per_shot))
+            assert stats.ks_2samp(left, right).pvalue >= 1e-4
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -349,7 +459,7 @@ def _pool(approx, spectral, phi0, n, seed):
     rng = np.random.default_rng(seed)
     js = sample_j_batch(approx, n, rng)
     e_table = expectation_table_1d(spectral, phi0, approx.d)
-    return js, draw_xy_pm1(e_table[js + approx.d], rng)
+    return js, draw_xy_pm1(pm1_law(e_table), js + approx.d, rng)
 
 
 def test_certify_two_sides():

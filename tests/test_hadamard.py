@@ -19,7 +19,8 @@ from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
                            outcome_distribution_O, observable, phase_block,
-                           require_unitary, sample_blocks, table_states)
+                           pm1_law, require_unitary, sample_blocks,
+                           table_states)
 
 from conftest import (dense_from_terms, kron_word, random_hermitian,
                       random_state, random_unitary)
@@ -305,7 +306,8 @@ def test_frequency_five_sigma(z_system):
     s, plus = z_system
     n = 10 ** 5
     e = exact_expectation_1d(s, plus, 1)
-    zs = draw_xy_pm1(np.full(n, e), np.random.default_rng(77))
+    zs = draw_xy_pm1(pm1_law(np.array([e])), np.zeros(n, dtype=int),
+                     np.random.default_rng(77))
     # Bernoulli variance for X: 1 - (Re e)^2
     sigma = math.sqrt((1.0 - e.real ** 2) / n)
     assert abs(zs.real.mean() - e.real) <= 5 * sigma
@@ -336,7 +338,9 @@ def test_blocked_draws_match_full_size_draws():
     ux, uy = ref.random(n), ref.random(n)
     pm1 = (np.where(ux < np.clip(0.5 * (1.0 + e.real), 0.0, 1.0), 1.0, -1.0)
            + 1j * np.where(uy < np.clip(0.5 * (1.0 + e.imag), 0.0, 1.0), 1.0, -1.0))
-    assert np.array_equal(draw_xy_pm1(e, np.random.default_rng(9)), pm1)
+    cells = np.arange(n)
+    assert np.array_equal(draw_xy_pm1(pm1_law(e), cells, np.random.default_rng(9)),
+                          pm1)
 
     def three(u, part):
         p_succ = 0.5 * (1.0 + nsq / alpha ** 2)
@@ -346,7 +350,6 @@ def test_blocked_draws_match_full_size_draws():
 
     block = three(ux, e.real) + 1j * three(uy, e.imag)
     law = block_law(e[None, :], nsq, alpha)
-    cells = np.arange(n)
     assert np.array_equal(draw_block_xy(law, cells, alpha, np.random.default_rng(9)),
                           block)
 
@@ -497,7 +500,7 @@ def test_block_tables_match_block_circuit_everywhere(rng, n):
 
 
 def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
-    """Row (j + d)(2d + 1) + (j' + d) of the law holds, bit for bit, the
+    """Row (j' + d)(2d + 1) + (j + d) of the law holds, bit for bit, the
     thresholds of a shot at (j, j') from e = table[j + d, j' + d] and
     p_succ = (1 + nsq[j' + d] / alpha^2) / 2, and matches the literal
     circuit's [P(+alpha), P(!= 0)] for X and for Y."""
@@ -517,7 +520,7 @@ def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
         plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
         minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
         shots += [plus, plus + minus]
-    gathered = law[(js + d) * width + (js2 + d)]
+    gathered = law[(js2 + d) * width + (js + d)]
     assert gathered.tobytes() == np.stack(shots, axis=1).tobytes()
     b = embed_block(o, alpha)
     for j in range(-d, d + 1):
@@ -527,8 +530,29 @@ def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
                 pf, plus, _ = block_circuit_distribution(s, phi, b, j2 * s.tau,
                                                          j * s.tau, w)
                 circuit += [plus, 1.0 - pf]
-            assert np.allclose(law[(j + d) * width + (j2 + d)], circuit,
+            assert np.allclose(law[(j2 + d) * width + (j + d)], circuit,
                                rtol=0.0, atol=1e-10)
+
+
+def test_pm1_law_at_flat_cells_matches_circuit(rng):
+    """Row (j' + d)(2d + 1) + (j + d) of the +-1 law of a two-time table, and
+    row j + d of a one-time one, hold [P(X = +1), P(Y = +1)] of the literal
+    circuit at (j, j') or j."""
+    _, s, phi = _random_instance(rng, 2)
+    o = random_unitary(rng, 4)
+    d = 3
+    width = 2 * d + 1
+    law_2d = pm1_law(expectation_table_2d(s, phi, o, d))
+    law_1d = pm1_law(expectation_table_1d(s, phi, d))
+    assert law_2d.shape == (width * width, 2) and law_1d.shape == (width, 2)
+    for j in range(-d, d + 1):
+        one = outcome_distribution_1d(s, phi, j)
+        assert np.allclose(law_1d[j + d], [one["X"][0], one["Y"][0]],
+                           rtol=0.0, atol=1e-10)
+        for j2 in range(-d, d + 1):
+            two = outcome_distribution_2d(s, phi, o, j, j2)
+            assert np.allclose(law_2d[(j2 + d) * width + (j + d)],
+                               [two["X"][0], two["Y"][0]], rtol=0.0, atol=1e-10)
 
 
 def test_block_success_frequency(rng):

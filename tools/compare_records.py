@@ -10,9 +10,12 @@ its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
 at GSPE_SEED 3 (as the benchmark runs it), and small general,
 block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
 alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
-built below.  For every output file it prints ``identical`` or the largest
-relative difference between corresponding numbers.  The exit code is 0 when
-every file is identical.
+built below.  For every output file it prints ``identical``, or the largest
+relative difference between corresponding numbers, the path of the first
+field that differs, and whether ``shots`` and every schedule integer
+(``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``) still match,
+so a change of the random stream can show that only estimates and evolution
+times moved.  The exit code is 0 when every file is identical.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -104,27 +108,34 @@ def run(src: Path, command: str, config: dict, seed) -> dict:
         return {name: (Path(work) / name).read_bytes() for name in names}
 
 
-def _numbers(blob: bytes, name: str) -> list:
-    """Every number of a JSON record or CSV table, in document order; other
-    leaves as strings, so a changed structure compares unequal."""
+SCHEDULE = ("shots", "d_gse", "d_prop", "n_s", "n_b", "n_g", "k_overlap")
+
+
+def _leaves(blob: bytes, name: str) -> list:
+    """(path, leaf) for every leaf of a JSON record, keys in sorted order, or
+    every cell of a CSV table; numbers as numbers, other leaves as they are,
+    so a changed structure shows as a changed path."""
     if name.endswith(".csv"):
         rows = csv.reader(io.StringIO(blob.decode()))
-        return [_leaf(cell) for row in rows for cell in row]
+        return [(f"[{r}][{c}]", _leaf(cell)) for r, row in enumerate(rows)
+                for c, cell in enumerate(row)]
     out = []
 
-    def walk(node):
+    def walk(node, path):
         if isinstance(node, dict):
+            if not node:
+                out.append((path, "{}"))
             for key in sorted(node):
-                out.append(key)
-                walk(node[key])
+                walk(node[key], f"{path}.{key}" if path else key)
         elif isinstance(node, list):
-            out.append(len(node))
-            for item in node:
-                walk(item)
+            if not node:
+                out.append((path, "[]"))
+            for index, item in enumerate(node):
+                walk(item, f"{path}[{index}]")
         else:
-            out.append(node)
+            out.append((path, node))
 
-    walk(json.loads(blob))
+    walk(json.loads(blob), "")
     return out
 
 
@@ -138,11 +149,11 @@ def _leaf(cell: str):
 def largest_difference(a: bytes, b: bytes, name: str) -> float:
     """Largest |x - y| / max(|x|, |y|) over corresponding numbers; inf when
     the structure or a non-number differs."""
-    left, right = _numbers(a, name), _numbers(b, name)
-    if len(left) != len(right):
+    left, right = _leaves(a, name), _leaves(b, name)
+    if [path for path, _ in left] != [path for path, _ in right]:
         return math.inf
     worst = 0.0
-    for x, y in zip(left, right):
+    for (_, x), (_, y) in zip(left, right):
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in (x, y))
         if not numeric:
@@ -151,6 +162,31 @@ def largest_difference(a: bytes, b: bytes, name: str) -> float:
         elif x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return worst
+
+
+def _first_mismatch(left: list, right: list) -> str | None:
+    """Path of the first (path, leaf) pair that differs between two lists."""
+    for (path, x), (other, y) in zip_longest(left, right, fillvalue=(None, None)):
+        if (path, x) != (other, y):
+            return path if path == other else f"{path} / {other}"
+    return None
+
+
+def first_difference(a: bytes, b: bytes, name: str) -> str | None:
+    """Path of the first leaf, in document order, whose path or value
+    differs; None when every leaf matches."""
+    return _first_mismatch(_leaves(a, name), _leaves(b, name))
+
+
+def schedule_verdict(a: bytes, b: bytes, name: str) -> str:
+    """Whether shots and every schedule integer (SCHEDULE, wherever it sits
+    in the record) match; the first that does not is named."""
+    left, right = ([leaf for leaf in _leaves(blob, name)
+                    if leaf[0].rsplit(".", 1)[-1] in SCHEDULE] for blob in (a, b))
+    if not left and not right:
+        return "no schedule fields"
+    path = _first_mismatch(left, right)
+    return "shots and schedule match" if path is None else f"schedule differs at {path}"
 
 
 def main(argv=None) -> int:
@@ -168,8 +204,10 @@ def main(argv=None) -> int:
                 verdict = "identical"
             else:
                 all_identical = False
+                args = before[output], after[output], output
                 verdict = (f"differs, largest relative difference "
-                           f"{largest_difference(before[output], after[output], output):.3e}")
+                           f"{largest_difference(*args):.3e}, first at "
+                           f"{first_difference(*args)}; {schedule_verdict(*args)}")
             print(f"{name:18s} {output:28s} {verdict}", flush=True)
     return 0 if all_identical else 1
 
