@@ -18,7 +18,8 @@ from . import estimators, hadamard
 from .estimators import EstimateReport, EstimationConfig, PreconditionError
 from .pauli import PauliString, multiply_strings
 from .seeding import stage_rng
-from .spectral import SpectralData, diagonalize, mixed_with_noise, normalized
+from .spectral import (SpectralData, diagonalize, hermitian_eigh, mixed_with_noise,
+                       normalized)
 
 KERNEL_TOL = 1e-8
 SCHEDULE_STEPS = 64  # interpolation steps of the "schedule" preparation
@@ -153,7 +154,7 @@ def prepare_initial_state(inst: LinearSystemInstance, spectral: SpectralData,
         state = np.kron(zero, np.kron(minus, normalized(inst.b)))
         for step in range(1, SCHEDULE_STEPS + 1):
             hbar_s = build_gap_amplified(inst.a, inst.b, step / SCHEDULE_STEPS)
-            evals, evecs = np.linalg.eigh(hbar_s)
+            evals, evecs = hermitian_eigh(hbar_s)
             state = evecs @ (np.exp(-1j * SCHEDULE_STEP_TIME * evals)
                              * (evecs.conj().T @ state))
         achieved = float(np.abs(target.conj() @ state) ** 2)

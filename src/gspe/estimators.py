@@ -599,11 +599,12 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     """Property pipeline for a unitary observable commuting with H.
 
     ||H O - O H||_F is read in the eigenbasis, where V^H [H, O] V has entries
-    (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed.
+    (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed; V^H O V comes
+    from :func:`hadamard.two_time`, which holds no conjugate copy of V.
     """
     obs = _unitary_observable(o_operator, spectral.dim)
     lam, v = spectral.eigenvalues, spectral.eigenvectors
-    comm = np.linalg.norm((lam[:, None] - lam) * (v.conj().T @ obs.apply(v)))
+    comm = np.linalg.norm((lam[:, None] - lam) * hadamard.two_time(v, obs.apply(v)))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
     front = estimate_denominator(spectral, phi0, cfg)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (DimensionMismatchError, SpectralData, as_state, evolve,
-                       overlaps)
+                       hermitian_eigh, overlaps)
 
 UNITARY_TOL = 1e-10
 
@@ -55,7 +55,7 @@ class BlockEncoding:
     def unitary(self) -> np.ndarray:
         """U = [[O/a, R], [R, -O/a]] with R = sqrt(I - O^2/a^2), built
         through the eigendecomposition of O."""
-        evals, evecs = np.linalg.eigh(self.operator)
+        evals, evecs = hermitian_eigh(self.operator)
         scaled = np.clip(evals / self.alpha, -1.0, 1.0)
         root = evecs @ np.diag(np.sqrt(1.0 - scaled ** 2)) @ evecs.conj().T
         top = self.operator / self.alpha
@@ -120,7 +120,7 @@ def _unitarity_deviation(obs: Observable) -> float:
 
     For a signed permutation U^H U is diagonal, holding |m|^2 for the one
     nonzero m of each column, so the norm is max | |m|^2 - 1 |.  Otherwise
-    U^H U comes from :func:`_two_time`, which holds no conjugate copy of U,
+    U^H U comes from :func:`two_time`, which holds no conjugate copy of U,
     and the Frobenius norm of the Gram deviation G, an O(dim^2) upper bound
     on ||G||_2 read off one vdot with no temporary, settles every unitary input;
     only a bound above the tolerance pays for the exact spectral norm,
@@ -130,12 +130,12 @@ def _unitarity_deviation(obs: Observable) -> float:
         values = obs.values
         return float(np.abs(values.real ** 2 + values.imag ** 2 - 1.0).max())
     mat = obs.matrix
-    gram = _two_time(mat, mat)
+    gram = two_time(mat, mat)
     gram[np.diag_indices_from(gram)] -= 1.0
     bound = math.sqrt(np.vdot(gram, gram).real)
     if bound <= UNITARY_TOL:
         return bound
-    return float(np.abs(np.linalg.eigvalsh(gram)).max())
+    return float(np.abs(hermitian_eigh(gram, vectors=False)).max())
 
 
 def require_unitary(op):
@@ -154,19 +154,24 @@ def require_unitary(op):
 # --- exact moments: each formula once, over a vector of indices j (the tables
 # take j = -d..d, the single-index targets the circuits are pinned to one j)
 
-def _phases(eigenvalues: np.ndarray, times) -> np.ndarray:
+def _phases(eigenvalues: np.ndarray, times, out=None) -> np.ndarray:
     """Row r holds e^{-i t_r lambda_k}."""
-    return np.exp(-1j * np.outer(times, eigenvalues))
+    return np.exp(-1j * np.outer(times, eigenvalues), out=out)
 
 
 def phase_block(spectral: SpectralData, d: int) -> np.ndarray:
     """Row j + d holds e^{-i j tau lambda_k} for j = -d..d.
 
+    Rows j = 0..d are evaluated and row -j is the conjugate of row j, the
+    same bits as evaluating it (sin is odd), for half the exponentials.
     Every table up to degree d reads its middle rows, so an estimate builds
     one block, at the largest of its degrees, and passes it to each table as
     ``phases``; the tables come out bit-identical to stand-alone ones.
     """
-    return _phases(spectral.scaled_eigenvalues, np.arange(-d, d + 1))
+    block = np.empty((2 * d + 1, spectral.dim), dtype=complex)
+    _phases(spectral.scaled_eigenvalues, np.arange(d + 1), out=block[d:])
+    np.conjugate(block[:d:-1], out=block[:d])
+    return block
 
 
 def _phase_rows(spectral: SpectralData, d: int, phases) -> np.ndarray:
@@ -199,7 +204,7 @@ def _evolved_states(spectral: SpectralData, phi0, phases: np.ndarray) -> np.ndar
 TWO_TIME_ROWS = 512  # bras conjugated at a time: 8 MB of them at dim 1024
 
 
-def _two_time(bras: np.ndarray, moved: np.ndarray) -> np.ndarray:
+def two_time(bras: np.ndarray, moved: np.ndarray) -> np.ndarray:
     """M[r, c] = <bra_r| O |ket_c> from the bra columns and the columns
     O ket_c; with bra_r = e^{i s_r H} phi0 and ket_c = e^{-i t_c H} phi0 this
     is <phi0| e^{-i s_r H} O e^{-i t_c H} |phi0>.  Rows come TWO_TIME_ROWS at
@@ -241,7 +246,7 @@ def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int, *,
         states = table_states(spectral, phi0, d)
     if moved is None:
         moved = observable(o_matrix, spectral.dim).apply(states)
-    return _two_time(states[:, ::-1], moved)
+    return two_time(states[:, ::-1], moved)
 
 
 def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int, *,
@@ -272,7 +277,7 @@ def _two_time_at(spectral: SpectralData, phi0, o_matrix, eigenvalues,
     to t."""
     states = _evolved_states(spectral, phi0, _phases(eigenvalues, [-s, t]))
     moved = as_matrix(o_matrix, spectral.dim) @ states[:, 1:]
-    return complex(_two_time(states[:, :1], moved)[0, 0])
+    return complex(two_time(states[:, :1], moved)[0, 0])
 
 
 def exact_expectation_2d(spectral: SpectralData, phi0, o_matrix,
@@ -346,9 +351,9 @@ def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
                               or not math.isfinite(alpha) or alpha <= 0):
         raise BlockEncodingError(f"alpha must be a finite number > 0, got {alpha!r}")
     o_mat = as_matrix(operator)
-    if np.linalg.norm(o_mat - o_mat.conj().T) > 1e-12 * max(1.0, np.linalg.norm(o_mat)):
-        raise BlockEncodingError("block-encoded observable must be Hermitian")
-    norm = float(np.abs(np.linalg.eigvalsh(o_mat)).max())
+    norm = float(np.abs(hermitian_eigh(
+        o_mat, vectors=False, error=BlockEncodingError,
+        message="block-encoded observable must be Hermitian")).max())
     if alpha is None:
         alpha = max(1.0, norm)
     if norm > alpha + 1e-12:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from gspe import PauliString, build_operator, diagonalize, embed_block
+from gspe import PauliString, SpectralData, build_operator, diagonalize, embed_block
 from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            BlockEncodingError, NotUnitaryError,
                            block_circuit_distribution, block_law,
@@ -460,6 +460,63 @@ def test_phase_block_rows_give_identical_tables(rng):
         assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="cannot serve degree"):
         table_states(s, phi, d + 6, phases=phases)
+
+
+@pytest.mark.parametrize("d", [0, 1, 17, 386])
+def test_phase_block_mirrored_rows_equal_direct_exponentials(d):
+    """Rows -d..-1 as conjugates of rows d..1 carry the bits of exp itself."""
+    eigenvalues = np.sort(np.random.default_rng(d).uniform(-3.0, 2.0, 1024))
+    s = SpectralData(eigenvalues=eigenvalues, eigenvectors=np.eye(1),
+                     gap=float(eigenvalues[1] - eigenvalues[0]),
+                     tau=(math.pi / 3.0) / np.abs(eigenvalues).max())
+    direct = np.exp(-1j * np.outer(np.arange(-d, d + 1), s.scaled_eigenvalues))
+    assert np.array_equal(phase_block(s, d), direct)
+
+
+def test_real_solve_tables_match_complex_solve(rng):
+    """Tables from the real solve of a real H agree with tables from the
+    complex solve of the same matrix."""
+    h = dense_from_terms([(-1.0, "ZZI"), (-1.0, "IZZ"), (-0.7, "XII"),
+                          (-0.5, "IXI"), (-0.3, "IIX"), (0.2, "ZII")])
+    s = diagonalize(h)
+    assert not s.eigenvectors.imag.any()
+    evals, evecs = np.linalg.eigh(h)  # complex128 input: the complex solve
+    ref = SpectralData(eigenvalues=evals, eigenvectors=evecs,
+                       gap=float(evals[1] - evals[0]),
+                       tau=(math.pi / 3.0) / np.abs(evals).max())
+    phi = random_state(rng, 8)
+    o_mat = random_unitary(rng, 8)
+    d = 9
+    pairs = [(expectation_table_1d(s, phi, d), expectation_table_1d(ref, phi, d)),
+             (expectation_table_O(s, phi, o_mat, d),
+              expectation_table_O(ref, phi, o_mat, d)),
+             (expectation_table_2d(s, phi, o_mat, d),
+              expectation_table_2d(ref, phi, o_mat, d))]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_embed_block_real_operator_matches_complex_solve():
+    """alpha and the accept/reject decision of a real O are those read off
+    the complex solve of O."""
+    gen = np.random.default_rng(43)
+    for dim, scale in ((2, 1.0), (5, 1.0), (8, 1.0), (8, 2.5)):
+        m = gen.normal(size=(dim, dim))
+        o = scale * (m + m.T) / np.linalg.norm(m + m.T, 2)
+        norm = float(np.abs(np.linalg.eigvalsh(o.astype(complex))).max())
+        for alpha in (None, 0.5, 0.99, 1.0 - 5e-13, 1.0, 1.0 + 1e-9, 1.7, 3.0):
+            want = max(1.0, norm) if alpha is None else alpha
+            if norm > want + 1e-12 or (norm / want) ** 2 - 1.0 > UNITARY_TOL:
+                with pytest.raises(BlockEncodingError):
+                    embed_block(o, alpha)
+            else:
+                assert embed_block(o, alpha).alpha == pytest.approx(want, rel=1e-13)
+
+
+def test_embed_block_rejects_complex_non_hermitian():
+    """Complex symmetric, so not Hermitian: the complex path checks too."""
+    with pytest.raises(BlockEncodingError, match="must be Hermitian"):
+        embed_block(np.array([[0.0, 0.5j], [0.5j, 0.0]]), 1.0)
 
 
 @pytest.mark.parametrize("word", [a + b for a in "IXYZ" for b in "IXYZ"])

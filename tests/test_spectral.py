@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gspe import build_operator, diagonalize, evolve, overlaps
 from gspe.spectral import (DegenerateGroundSpaceError, as_state, exact_cdf,
-                           mixed_with_noise, weighted_cdf_2d,
+                           hermitian_eigh, mixed_with_noise, weighted_cdf_2d,
                            weighted_cdf_commuting)
 
 from conftest import TFIM3_TERMS, dense_from_terms, random_state
@@ -50,6 +50,55 @@ def test_as_state_rejects_non_unit_norm(vec):
 def test_non_hermitian_operator_rejected():
     with pytest.raises(ValueError, match="not Hermitian"):
         diagonalize(np.array([[1.0, 0.5], [0.0, -1.0]]))
+
+
+def test_complex_non_hermitian_operator_rejected():
+    """Complex symmetric, so not Hermitian: the complex path checks too."""
+    mat = np.array([[1.0, 0.5j], [0.5j, -1.0]])
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        diagonalize(mat)
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        hermitian_eigh(mat, vectors=False)
+
+
+# the TFIM is real; the XY term (one Y factor) makes the second one complex
+SOLVE_PATHS = {"real": (TFIM3_TERMS, np.float64),
+               "complex": (TFIM3_TERMS + [(0.3, "XYI")], np.complex128)}
+
+
+def _record_eigh_dtypes(monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("path", list(SOLVE_PATHS))
+def test_diagonalize_solves_in_the_matrix_arithmetic(monkeypatch, path):
+    terms, solved = SOLVE_PATHS[path]
+    seen = _record_eigh_dtypes(monkeypatch)
+    diagonalize(build_operator(terms))
+    assert seen == [solved]
+
+
+@pytest.mark.parametrize("path", list(SOLVE_PATHS))
+def test_diagonalize_matches_complex_solve_on_both_paths(path):
+    terms, _ = SOLVE_PATHS[path]
+    mat = dense_from_terms(terms)
+    s = diagonalize(build_operator(terms))
+    ref = np.linalg.eigh(mat)[0]  # complex128 input: the complex solve
+    assert np.abs(s.eigenvalues - ref).max() <= 1e-12
+    v = s.eigenvectors
+    assert v.dtype == np.complex128
+    assert np.linalg.norm(v.conj().T @ v - np.eye(s.dim)) <= 1e-12
+    assert np.linalg.norm(mat @ v - v * s.eigenvalues) <= 1e-12
+    if path == "real":
+        assert not v.imag.any()
 
 
 def test_eigenvector_matrix_unitary(tfim3):
