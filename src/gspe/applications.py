@@ -4,8 +4,8 @@ The linear-system route encodes A x = b into the gap-amplified Hamiltonian
 family H'(s) acting on two ancilla qubits plus the system; properties of the
 solution are read from the weighted CDF evaluated just above zero, where the
 kernel of H'(1) carries |0>|+>|x>.  The 1RDM route expresses a_p^dag a_q
-through Jordan-Wigner Majorana strings and estimates each product with the
-general-unitary pipeline.
+through Jordan-Wigner Majorana strings and estimates their products as the
+terms of one weighted stage of the general-unitary pipeline.
 """
 from __future__ import annotations
 
@@ -249,35 +249,30 @@ def exact_1rdm_entry(spectral: SpectralData, p: int, q: int,
 
 def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
                         cfg: EstimationConfig) -> EstimateReport:
-    """D_pq = <psi0| a_p^dag a_q |psi0> via the four-Majorana expansion.
+    """D_pq = <psi0| a_p^dag a_q |psi0> = sum_k u_k <gamma_a gamma_b>_k over
+    the four-Majorana expansion, with u_k = weight * phase / 4.
 
-    The products are formed first, so a bad mode costs no shots.  They share
-    the energy stage and the overlap denominator; identity products (p = q
-    diagonal terms) are exact and cost no shots, and each estimated one is a
-    weighted-stage product in :func:`estimators.estimate_denominator`'s split.
+    The products are formed first, so a bad mode costs no shots.  Identity
+    products (p = q) are exact; the others are the terms of one weighted
+    stage (:meth:`estimators.Denominator.ratio`), k shots of each per group
+    (``cfg.k`` is per product), their tables built one at a time from one Psi.
     """
     n_modes = int(round(math.log2(spectral.dim)))
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
     combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
               (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
-    terms = [(weight, a_idx == b_idx, majorana_product(a_idx, b_idx, n_modes))
-             for weight, a_idx, b_idx in combos]
-    count = sum(not identity for _, identity, _ in terms)
+    products, identity = [], 0.0
+    for index, (weight, a_idx, b_idx) in enumerate(combos):
+        phase, string = majorana_product(a_idx, b_idx, n_modes)
+        if a_idx == b_idx:
+            identity += weight / 4.0  # gamma_a^2 = identity, expectation exactly 1
+        else:
+            products.append(((weight * phase / 4.0, index), string))
     front = estimators.estimate_denominator(spectral, phi0, cfg)
-    total = 0.0 + 0.0j
     d = front.approx.d
-    # one Psi for every product; each table is sampled before the next is built
     states = hadamard.table_states(spectral, phi0, d, phases=front.take_phases())
-    for stage, (weight, identity, (phase, string)) in enumerate(terms):
-        if identity:
-            total += weight  # gamma_a^2 = identity, expectation exactly 1
-            continue
-        e_table = hadamard.expectation_table_2d(spectral, phi0, string, d,
-                                                states=states)
-        num = front.weighted(cfg, e_table, spectral.tau, products=count,
-                             index=stage)
-        total += weight * phase * (num / front.p0_bar)
-    return EstimateReport(
-        value=total / 4.0, budget=front.budget,
-        intermediate={key: front.intermediate[key]
-                      for key in ("x_good", "p0_bar", "d_prop", "gamma")})
+    tables = (hadamard.expectation_table_2d(spectral, phi0, string, d, states=states)
+              for _, string in products)
+    report = front.ratio(cfg, tables, spectral.tau, terms=[t for t, _ in products])
+    report.value += identity
+    return report

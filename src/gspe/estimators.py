@@ -422,10 +422,10 @@ def good_point(x_star: float, tau: float, gamma: float, *,
     return x_star + tau * gamma / 2.0
 
 
-def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
-                   n_g: int, k: int, rng, budget: EvolutionBudget, tau: float,
-                   *, law=None, alpha=None) -> complex:
-    """Median-of-means estimate at x_good, from n_g * k fresh shots, of
+def group_means(approx: FourierApprox, table: np.ndarray, x_good: float,
+                n_g: int, k: int, rng, budget: EvolutionBudget, tau: float, *,
+                law=None, alpha=None) -> np.ndarray:
+    """Means at x_good of n_g groups of k fresh shots, each an estimate of
     sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
     sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots from the
     cell law of E when ``law`` and ``alpha`` are given)."""
@@ -434,7 +434,7 @@ def weighted_stage(approx: FourierApprox, table: np.ndarray, x_good: float,
         lead = approx.total_weight * approx.kernel(x_good)
     sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
                       law=law, alpha=alpha)
-    return median_of_means(batch_means(approx, sums, x_good, k), n_g, 1)
+    return batch_means(approx, sums, x_good, k)
 
 
 def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
@@ -446,14 +446,15 @@ def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierAp
 
 
 def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
-                    two_time: bool = False, alpha: float | None = None):
-    """(n_g, k) of the overlap or a weighted stage at failure probability nu.
+                    two_time: bool = False, alpha: float | None = None, scale=1):
+    """(n_g, k) of the overlap or the weighted stage at failure probability nu.
     One shot's second moment is at most 2 W^2 on a one-time table and
-    2 alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable)."""
+    2 alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable),
+    times scale = sum |u|^2 over the terms of a weighted stage."""
     w = approx.total_weight
     bound = (2.0 * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
              else 2.0 * w ** 2)
-    return mom_schedule(bound, cfg.eta, cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
+    return mom_schedule(scale * bound, cfg.eta, cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
 
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
@@ -468,9 +469,9 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
     n_g, k = _stage_schedule(approx, cfg, nu)
     budget = budget if budget is not None else EvolutionBudget()
     e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
-    return weighted_stage(approx, e_table, x_good, n_g, k,
-                          stage_rng(cfg.seed, "overlap"), budget,
-                          spectral.tau).real
+    return median_of_means(group_means(approx, e_table, x_good, n_g, k,
+                                       stage_rng(cfg.seed, "overlap"), budget,
+                                       spectral.tau), n_g, 1).real
 
 
 @dataclass
@@ -497,22 +498,28 @@ class Denominator:
         phases, self.phases = self.phases, None
         return phases
 
-    def weighted(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
-                 products: int = 1, index: int = 0, law=None,
-                 alpha=None) -> complex:
-        """Weighted stage on ``table``, one of ``products`` that share the
-        weighted stage's failure probability, drawn from weighted stream
-        ``index`` into ``budget``."""
-        n_g, k = _stage_schedule(self.approx, cfg, cfg.nu / (self.stages * products),
-                                 two_time=table.ndim == 2, alpha=alpha)
-        return weighted_stage(self.approx, table, self.x_good, n_g, k,
-                              stage_rng(cfg.seed, "weighted", index=index),
-                              self.budget, tau, law=law, alpha=alpha)
-
-    def ratio(self, cfg: EstimationConfig, table: np.ndarray, tau: float, *,
-              law=None, alpha=None) -> EstimateReport:
-        """:meth:`weighted` on ``table`` divided by p0_bar."""
-        num = self.weighted(cfg, table, tau, law=law, alpha=alpha)
+    def ratio(self, cfg: EstimationConfig, tables, tau: float, *,
+              terms=((1, 0),), law=None, alpha=None) -> EstimateReport:
+        """The weighted stage divided by p0_bar.  Term (u, index) of ``terms``
+        draws the next of ``tables`` (a generator holds one at a time) from
+        weighted stream ``index``; a group's value is sum u * (the term's group
+        mean).  One schedule, at nu/stages and sum |u|^2 times the first
+        table's per-shot bound, serves every term."""
+        tables = iter(tables)
+        values = None
+        for u, index in terms:
+            table = next(tables)
+            if values is None:
+                n_g, k = _stage_schedule(self.approx, cfg, cfg.nu / self.stages,
+                                         two_time=table.ndim == 2, alpha=alpha,
+                                         scale=sum(abs(w) ** 2 for w, _ in terms))
+            means = group_means(self.approx, table, self.x_good, n_g, k,
+                                stage_rng(cfg.seed, "weighted", index=index),
+                                self.budget, tau, law=law, alpha=alpha)
+            del table
+            means = means if u == 1 else u * means  # u = 1: the means, bit for bit
+            values = means if values is None else values + means
+        num = median_of_means(values, n_g, 1)
         return EstimateReport(value=num / self.p0_bar, budget=self.budget,
                               intermediate=dict(self.intermediate, p0o0_bar=num))
 
@@ -524,7 +531,7 @@ class Denominator:
         table, nsq = _block_tables(spectral, phi0, block.operator,
                                    self.approx.d, self.take_phases())
         law = hadamard.block_law(table, nsq, block.alpha)
-        report = self.ratio(cfg, table, spectral.tau, law=law, alpha=block.alpha)
+        report = self.ratio(cfg, [table], spectral.tau, law=law, alpha=block.alpha)
         report.intermediate["alpha"] = block.alpha
         return report
 
@@ -547,8 +554,8 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     The budget split of every pipeline: GSE at accuracy gamma/8 with Fourier
     budget eta/8; the overlap and weighted stages on the approximant at
     delta = tau*gamma/5 with budget eta*epsilon/32, each targeting epsilon/4;
-    nu shared evenly over the stages run (GSE, overlap, weighted) and over
-    the ``products`` of the weighted stage (:meth:`Denominator.weighted`).
+    nu shared evenly over the stages run (GSE, overlap, weighted), however
+    many terms the weighted stage holds (:meth:`Denominator.ratio`).
 
     Both approximants are built first, so one phase block at the larger
     degree serves every table of the estimate; the Denominator hands it on.
@@ -610,7 +617,7 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     front = estimate_denominator(spectral, phi0, cfg)
     table = expectation_table_O(spectral, phi0, obs, front.approx.d,
                                 phases=front.take_phases())
-    return front.ratio(cfg, table, spectral.tau)
+    return front.ratio(cfg, [table], spectral.tau)
 
 
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
@@ -623,7 +630,7 @@ def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
     table = expectation_table_2d(
         spectral, phi0, obs, d,
         states=table_states(spectral, phi0, d, phases=front.take_phases()))
-    return front.ratio(cfg, table, spectral.tau)
+    return front.ratio(cfg, [table], spectral.tau)
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,

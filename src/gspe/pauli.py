@@ -33,7 +33,7 @@ class OperatorError(ValueError):
     """Malformed operator input (inconsistent words, bad coefficients, ...)."""
 
 
-def _check_dense_size(n: int) -> None:
+def check_dense_size(n: int) -> None:
     if n > DENSE_QUBIT_CAP:
         raise OperatorError(f"dense rendering capped at {DENSE_QUBIT_CAP} qubits, got n={n}")
 
@@ -68,7 +68,7 @@ class PauliString:
         return np.arange(2 ** self.n) ^ x, _I_POWERS[self.word.count("Y") % 4] * signs
 
     def matrix(self) -> np.ndarray:
-        _check_dense_size(self.n)
+        check_dense_size(self.n)
         rows, values = self.signed_permutation()
         out = np.zeros((values.size, values.size), dtype=complex)
         out[rows, np.arange(values.size)] = values
@@ -112,7 +112,7 @@ class PauliOperator:
 
     def matrix(self) -> np.ndarray:
         """Sum of the terms, each scattered onto its one nonzero per column."""
-        _check_dense_size(self.n)
+        check_dense_size(self.n)
         columns = np.arange(2 ** self.n)
         out = np.zeros((columns.size, columns.size), dtype=complex)
         for coeff, string in self.terms:

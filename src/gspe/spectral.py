@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOperator, _check_dense_size
+from .pauli import PauliOperator, check_dense_size
 
 
 class DegenerateGroundSpaceError(ValueError):
@@ -109,7 +109,7 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     n_qubits = int(round(math.log2(mat.shape[0])))
-    _check_dense_size(n_qubits)
+    check_dense_size(n_qubits)
     eigenvalues, eigenvectors = hermitian_eigh(mat)
     gap = float(eigenvalues[1] - eigenvalues[0]) if eigenvalues.size > 1 else math.inf
     if require_unique_ground_state and gap <= degeneracy_tolerance:
@@ -148,10 +148,8 @@ def overlaps(phi0, spectral: SpectralData) -> np.ndarray:
 
 def evolve(spectral: SpectralData, phi, t: float) -> np.ndarray:
     """Exact time evolution ``exp(-i t H) phi`` through the eigensystem."""
-    phi = as_state(phi, dim=spectral.dim)
     phases = np.exp(-1j * t * spectral.eigenvalues)
-    v = spectral.eigenvectors
-    return v @ (phases * (v.conj().T @ phi))
+    return spectral.eigenvectors @ (phases * spectral.to_eigenbasis(phi))
 
 
 def mixed_with_noise(target, noise, overlap: float) -> np.ndarray:

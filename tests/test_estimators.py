@@ -10,8 +10,8 @@ from gspe import (EstimationConfig, build_operator, diagonalize, embed_block,
                   estimate_gsprop_commutative, estimate_gsprop_general,
                   estimate_overlap, good_point, median_of_means)
 from gspe import estimators
-from gspe.applications import (estimate_1rdm_entry, qlss_estimate,
-                               random_linear_system)
+from gspe.applications import (estimate_1rdm_entry, majorana_product,
+                               qlss_estimate, random_linear_system)
 from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError,
                              acdf_2d_exact, acdf_exact, acdf_weighted_exact,
                              bracket_iterations, certify, certify_schedule,
@@ -19,11 +19,12 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              EvolutionBudget, block_norm_table, g2_estimator,
                              batch_means, g_estimator, invert_cdf,
                              mom_schedule, sample_J, sample_j_batch,
-                             sample_j_counts, weighted_stage)
+                             sample_j_counts, group_means)
 from gspe.fourier import FourierApprox, build_fourier_approx
 from gspe.hadamard import (SAMPLE_BLOCK, block_law, draw_block_xy, draw_xy_pm1,
                            observable, outcome_distribution_1d, pm1_law,
                            sample_blocks)
+from gspe.seeding import stage_rng
 from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
 from conftest import kron_word, random_hermitian, random_unitary
@@ -312,9 +313,9 @@ def _pool_case(kind, d):
 
 @pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
 def test_weighted_stage_replays_public_draws(small_approx, kind):
-    """The weighted stage keeps only per-group sums of its pool; its estimate
-    and budget equal the per-shot formulas on the same draws, with groups
-    of several sampling chunks."""
+    """A median-of-means stage keeps only per-group sums of its pool; every
+    group mean and the budget equal the per-shot formulas on the same
+    draws, with groups of several sampling chunks."""
     a, d, x = small_approx, small_approx.d, 0.3
     spectral, table, law, alpha, _ = _pool_case(kind, d)
     tau = spectral.tau
@@ -325,12 +326,51 @@ def test_weighted_stage_replays_public_draws(small_approx, kind):
     values = zs * np.prod([phase[js + d] for js in index], axis=0)
     times = sum(np.abs(js) for js in index) * tau
     budget = EvolutionBudget()
-    got = weighted_stage(a, table, x, n_g, k, np.random.default_rng(41),
-                         budget, tau, law=law, alpha=alpha)
-    assert abs(got - median_of_means(values, n_g, k)) <= 1e-12
+    got = group_means(a, table, x, n_g, k, np.random.default_rng(41), budget, tau,
+                      law=law, alpha=alpha)
+    assert np.abs(got - values.reshape(n_g, k).mean(axis=1)).max() <= 1e-12
     assert budget.shots == n_g * k
     assert budget.max_time == float(times.max())
     assert abs(budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (0, 0)])
+def test_1rdm_stage_replays_public_draws(variant2q, rng, p, q):
+    """A 1RDM entry's weighted value is the lower median over groups of
+    sum_k u_k times the group means of Majorana product k, u_k = weight *
+    phase / 4, each product drawn by the public pool from the weighted
+    stream of its position in the expansion; identity products add 1/4."""
+    _, s = variant2q
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    n_g, k = 5, 3001
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=43, n_g=n_g, k=k)
+    report = estimate_1rdm_entry(s, phi0, p, q, cfg)
+    inter = report.intermediate
+    a = build_fourier_approx(s.tau * inter["gamma"] / 5.0,
+                             cfg.eta * (cfg.epsilon / 4.0) / 8.0)
+    assert a.d == inter["d_prop"]
+    x = inter["x_good"]
+    lead = a.total_weight * a.kernel(x)
+    combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
+              (1j, 2 * p, 2 * q + 1), (1.0, 2 * p + 1, 2 * q + 1)]
+    values, identity, products = np.zeros(n_g, dtype=complex), 0.0, 0
+    for index, (weight, a_idx, b_idx) in enumerate(combos):
+        if a_idx == b_idx:
+            identity += weight / 4.0
+            continue
+        phase, string = majorana_product(a_idx, b_idx, 2)
+        sums = estimators._pool_sums(
+            a, expectation_table_2d(s, phi0, string, a.d), n_g, k,
+            stage_rng(cfg.seed, "weighted", index=index), EvolutionBudget(),
+            s.tau, lead=lead)
+        values += weight * phase / 4.0 * batch_means(a, sums, x, k)
+        products += 1
+    want = median_of_means(values, n_g, 1)
+    assert abs(inter["p0o0_bar"] - want) <= 1e-12
+    assert abs(report.value - (want / inter["p0_bar"] + identity)) <= 1e-12
+    assert report.shots_used == (inter["n_s"] * inter["n_b"] + n_g * k
+                                 + products * n_g * k)
 
 
 def test_gse_sums_replay_public_draws(small_approx):
@@ -806,26 +846,29 @@ def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
         s, phi0, x_good, cfg, nu=cfg.nu / 3)
 
 
-@pytest.mark.parametrize("pipeline",
-                         ["commutative", "general", "block", "rdm", "qlss"])
+@pytest.mark.parametrize("pipeline", ["commutative", "general", "block", "rdm",
+                                      "rdm-diagonal", "qlss"])
 def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     """The weighted stage draws mom_schedule's shots at the per-shot bound of
-    its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit."""
+    its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit;
+    a 1RDM entry's m products share one stage at (m/16) 2 W^4."""
     _, s = variant2q
     o_mat = build_operator([(1.0, "XI" if pipeline != "commutative" else "II")]
                            ).matrix()
     phi0 = mixed_with_noise(s.ground_state(),
                             rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
     cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37)
-    if pipeline == "rdm":
-        # four Majorana products for (p, q) = (0, 1), each at nu/(3 * 4)
-        report = estimate_1rdm_entry(s, phi0, 0, 1, cfg)
-        inter = estimators.estimate_denominator(s, phi0, cfg).intermediate
-        n_g, k = mom_schedule(2.0 * inter["total_weight_prop"] ** 4, cfg.eta,
-                              cfg.epsilon / 4.0, cfg.nu / (3.0 * 4))
+    if pipeline.startswith("rdm"):
+        # m non-identity Majorana products, each term of weight 1/4, drawn k
+        # shots each per group of one stage at nu/3; identity products are free
+        p, q, m = (0, 1, 4) if pipeline == "rdm" else (0, 0, 2)
+        report = estimate_1rdm_entry(s, phi0, p, q, cfg)
+        inter = report.intermediate
+        n_g, k = mom_schedule((m / 16) * (2.0 * inter["total_weight_prop"] ** 4),
+                              cfg.eta, cfg.epsilon / 4.0, cfg.nu / 3.0)
         assert report.shots_used == (inter["n_s"] * inter["n_b"]
                                      + inter["n_g"] * inter["k_overlap"]
-                                     + 4 * n_g * k)
+                                     + m * n_g * k)
         return
     if pipeline == "qlss":
         # no energy stage; overlap and weighted stage each at nu/2
