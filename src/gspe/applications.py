@@ -199,9 +199,10 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
     block = hadamard.embed_block(m_tilde, alpha)
     cfg = EstimationConfig(epsilon=epsilon, eta=eta, nu=nu, seed=seed,
                            gamma=gamma, n_g=n_g, k=k)
-    front = estimators.estimate_denominator(spectral, phi0, cfg,
+    front = estimators.estimate_denominator(spectral, phi0, cfg, [block.operator],
+                                            kind="block",
                                             x_good=spectral.tau * gamma / 2.0)
-    report = front.block_ratio(cfg, spectral, phi0, block)
+    report = front.ratio(cfg, spectral.tau, alpha=block.alpha)
     x = inst.solution_state()
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
@@ -255,7 +256,8 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
     The products are formed first, so a bad mode costs no shots.  Identity
     products (p = q) are exact; the others are the terms of one weighted
     stage (:meth:`estimators.Denominator.ratio`), k shots of each per group
-    (``cfg.k`` is per product), their tables built one at a time from one Psi.
+    (``cfg.k`` is per product), their two-time tables built one at a time
+    from one Psi (:func:`hadamard.oracle_tables`).
     """
     n_modes = int(round(math.log2(spectral.dim)))
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
@@ -268,11 +270,8 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
             identity += weight / 4.0  # gamma_a^2 = identity, expectation exactly 1
         else:
             products.append(((weight * phase / 4.0, index), string))
-    front = estimators.estimate_denominator(spectral, phi0, cfg)
-    d = front.approx.d
-    states = hadamard.table_states(spectral, phi0, d, phases=front.take_phases())
-    tables = (hadamard.expectation_table_2d(spectral, phi0, string, d, states=states)
-              for _, string in products)
-    report = front.ratio(cfg, tables, spectral.tau, terms=[t for t, _ in products])
+    front = estimators.estimate_denominator(spectral, phi0, cfg,
+                                            [string for _, string in products])
+    report = front.ratio(cfg, spectral.tau, terms=[t for t, _ in products])
     report.value += identity
     return report

@@ -15,6 +15,7 @@ parameters.  Evolution time is accounted per shot as
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -22,8 +23,10 @@ import numpy as np
 
 from . import hadamard
 from .fourier import FourierApprox, build_fourier_approx
+# block_norm_table too: perfbench/layers.py wraps the table builders by
+# their names in this module
 from .hadamard import (block_norm_table, expectation_table_1d,
-                       expectation_table_2d, expectation_table_O, table_states)
+                       expectation_table_2d, expectation_table_O)
 from .seeding import stage_rng
 from .spectral import SpectralData, as_state
 
@@ -386,13 +389,14 @@ def _gse_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
 
 def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                  nu: float | None = None, rng=None,
-                 approx: FourierApprox | None = None, phases=None) -> GSEReport:
+                 approx: FourierApprox | None = None, table=None) -> GSEReport:
     """EstimateGSE, the GSE stage: value = x*/tau.
 
     The Heaviside approximant (by default at delta = tau * epsilon with budget
     eta/8) sets the search resolution delta; the shared (J, Z) pool is drawn
     once into per-batch sums, which the Certify binary search inverts.
-    ``phases`` is the estimate's :func:`hadamard.phase_block`, when it has one.
+    ``table`` is the estimate's :func:`expectation_table_1d` at the
+    approximant's degree (:attr:`hadamard.OracleTables.gse`), when it has one.
     """
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
@@ -401,8 +405,9 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                                 cfg.n_s, cfg.n_b)
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
-    e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
-    sums = _pool_sums(approx, e_table, n_b, n_s, rng, budget, spectral.tau)
+    if table is None:
+        table = expectation_table_1d(spectral, phi0, approx.d)
+    sums = _pool_sums(approx, table, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, approx.delta, n_s)
     return GSEReport(
         value=x_star / spectral.tau, budget=budget, approx=approx, sums=sums,
@@ -460,16 +465,17 @@ def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
                      nu: float | None = None, budget: EvolutionBudget | None = None,
-                     phases=None) -> float:
+                     table=None) -> float:
     """The overlap stage: median-of-means estimate of p0 = C(x_good);
-    ``phases`` as in :func:`estimate_gse`."""
+    ``table`` as in :func:`estimate_gse` (:attr:`hadamard.OracleTables.overlap`)."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
     n_g, k = _stage_schedule(approx, cfg, nu)
     budget = budget if budget is not None else EvolutionBudget()
-    e_table = expectation_table_1d(spectral, phi0, approx.d, phases=phases)
-    return median_of_means(group_means(approx, e_table, x_good, n_g, k,
+    if table is None:
+        table = expectation_table_1d(spectral, phi0, approx.d)
+    return median_of_means(group_means(approx, table, x_good, n_g, k,
                                        stage_rng(cfg.seed, "overlap"), budget,
                                        spectral.tau), n_g, 1).real
 
@@ -480,8 +486,8 @@ class Denominator:
     ``budget`` holds the evolution time and the shots of every stage so far.
 
     ``stages`` counts the stages sharing nu (:func:`estimate_denominator`).
-    ``phases`` is the estimate's phase block (:func:`hadamard.phase_block`,
-    degree at least ``approx.d``) until :meth:`take_phases` hands it on.
+    ``tables`` yields the :class:`hadamard.OracleTables` of each observable
+    of the weighted stage, in order (:func:`hadamard.oracle_tables`).
     """
 
     x_good: float
@@ -490,25 +496,29 @@ class Denominator:
     stages: int
     budget: EvolutionBudget
     intermediate: dict
-    phases: np.ndarray | None = field(default=None, repr=False)
+    tables: Iterator[hadamard.OracleTables] = field(repr=False)
 
-    def take_phases(self) -> np.ndarray | None:
-        """The phase block, handed on once: dropping this reference frees it
-        as soon as the caller's tables are built."""
-        phases, self.phases = self.phases, None
-        return phases
-
-    def ratio(self, cfg: EstimationConfig, tables, tau: float, *,
-              terms=((1, 0),), law=None, alpha=None) -> EstimateReport:
+    def ratio(self, cfg: EstimationConfig, tau: float, *, terms=((1, 0),),
+              alpha: float | None = None) -> EstimateReport:
         """The weighted stage divided by p0_bar.  Term (u, index) of ``terms``
-        draws the next of ``tables`` (a generator holds one at a time) from
-        weighted stream ``index``; a group's value is sum u * (the term's group
-        mean).  One schedule, at nu/stages and sum |u|^2 times the first
-        table's per-shot bound, serves every term."""
-        tables = iter(tables)
+        draws the weighted table of the next item of ``tables``, dropped
+        before the item after it is built, from weighted stream ``index``;
+        a group's value is
+        sum u * (the term's group mean).  One schedule, at nu/stages and
+        sum |u|^2 times the first table's per-shot bound, serves every term.
+
+        With ``alpha``, the shots come from the post-selected circuit of a
+        block encoding of norm alpha, whose per-shot variance carries an
+        alpha^2 factor; the pool draws them from the circuit's cell law
+        (:func:`hadamard.block_law`), built once per table.
+        """
         values = None
         for u, index in terms:
-            table = next(tables)
+            tables = next(self.tables)
+            table = tables.weighted
+            law = (None if alpha is None
+                   else hadamard.block_law(table, tables.norms, alpha))
+            del tables
             if values is None:
                 n_g, k = _stage_schedule(self.approx, cfg, cfg.nu / self.stages,
                                          two_time=table.ndim == 2, alpha=alpha,
@@ -516,37 +526,19 @@ class Denominator:
             means = group_means(self.approx, table, self.x_good, n_g, k,
                                 stage_rng(cfg.seed, "weighted", index=index),
                                 self.budget, tau, law=law, alpha=alpha)
-            del table
+            del table, law
             means = means if u == 1 else u * means  # u = 1: the means, bit for bit
             values = means if values is None else values + means
         num = median_of_means(values, n_g, 1)
+        inter = dict(self.intermediate, p0o0_bar=num)
+        if alpha is not None:
+            inter["alpha"] = alpha
         return EstimateReport(value=num / self.p0_bar, budget=self.budget,
-                              intermediate=dict(self.intermediate, p0o0_bar=num))
-
-    def block_ratio(self, cfg: EstimationConfig, spectral: SpectralData, phi0,
-                    block: hadamard.BlockEncoding) -> EstimateReport:
-        """:meth:`ratio` with two-time shots from the post-selected circuit of
-        ``block``, whose per-shot variance carries an alpha^2 factor; the
-        pool draws them from the circuit's cell law, built once here."""
-        table, nsq = _block_tables(spectral, phi0, block.operator,
-                                   self.approx.d, self.take_phases())
-        law = hadamard.block_law(table, nsq, block.alpha)
-        report = self.ratio(cfg, [table], spectral.tau, law=law, alpha=block.alpha)
-        report.intermediate["alpha"] = block.alpha
-        return report
+                              intermediate=inter)
 
 
-def _block_tables(spectral: SpectralData, phi0, operator, d: int, phases):
-    """The two-time table and the norm table of ``operator`` from one Psi and
-    one O Psi, both freed on return."""
-    obs = hadamard.observable(operator, spectral.dim)
-    states = table_states(spectral, phi0, d, phases=phases)
-    moved = obs.apply(states)
-    return (expectation_table_2d(spectral, phi0, obs, d, states=states, moved=moved),
-            block_norm_table(spectral, phi0, obs, d, moved=moved))
-
-
-def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
+def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig,
+                         observables, *, kind: str = "two-time",
                          x_good: float | None = None) -> Denominator:
     """EstimateGSE and the good point (both skipped when ``x_good`` is
     given), then the overlap p0_bar = C(x_good), which must come out positive.
@@ -557,8 +549,11 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     nu shared evenly over the stages run (GSE, overlap, weighted), however
     many terms the weighted stage holds (:meth:`Denominator.ratio`).
 
-    Both approximants are built first, so one phase block at the larger
-    degree serves every table of the estimate; the Denominator hands it on.
+    Both approximants are built first, so every table of the estimate comes
+    from one :func:`hadamard.oracle_tables` call over the weighted stage's
+    ``observables`` (tables of ``kind``); its first tables are built, or
+    found on the instance, before the first shot, and the Denominator hands
+    them and the rest on.
     """
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
@@ -567,21 +562,23 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
     nu = cfg.nu / stages
     budget, inter = EvolutionBudget(), {"gamma": gamma}
     approx = _property_approx(spectral, cfg)
+    d_gse = None
     if x_good is None:
-        eps_gse = gamma / 8.0
-        gse_cfg = replace(cfg, epsilon=eps_gse, gamma=gamma)
+        gse_cfg = replace(cfg, epsilon=gamma / 8.0, gamma=gamma)
         gse_approx = _gse_approx(spectral, gse_cfg)
-        phases = hadamard.phase_block(spectral, max(approx.d, gse_approx.d))
+        d_gse = gse_approx.d
+    tables = hadamard.oracle_tables(spectral, phi0, observables, approx.d,
+                                    d_gse=d_gse, kind=kind)
+    first = next(tables)
+    if x_good is None:
         gse = estimate_gse(spectral, phi0, gse_cfg, nu=nu, approx=gse_approx,
-                           phases=phases)
+                           table=first.gse)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
-                            epsilon=eps_gse)
+                            epsilon=gse_cfg.epsilon)
         budget = gse.budget
         inter.update(gse.intermediate)
-    else:
-        phases = hadamard.phase_block(spectral, approx.d)
     p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
-                              budget=budget, phases=phases)
+                              budget=budget, table=first.overlap)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
     n_g, k = _stage_schedule(approx, cfg, nu)
@@ -589,7 +586,16 @@ def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
     return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, stages=stages,
-                       budget=budget, intermediate=inter, phases=phases)
+                       budget=budget, intermediate=inter,
+                       tables=_handed_on(first, tables))
+
+
+def _handed_on(first, rest):
+    """``first``, then the items of ``rest``; ``first`` is dropped before
+    the next item is asked for, so the two are never alive together."""
+    yield first
+    del first
+    yield from rest
 
 
 # --- end-to-end pipelines -----------------------------------------------------
@@ -614,23 +620,15 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     comm = np.linalg.norm((lam[:, None] - lam) * hadamard.two_time(v, obs.apply(v)))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
-    front = estimate_denominator(spectral, phi0, cfg)
-    table = expectation_table_O(spectral, phi0, obs, front.approx.d,
-                                phases=front.take_phases())
-    return front.ratio(cfg, [table], spectral.tau)
+    front = estimate_denominator(spectral, phi0, cfg, [obs], kind="one-time")
+    return front.ratio(cfg, spectral.tau)
 
 
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
                             cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a general unitary observable (two-time circuit)."""
     obs = _unitary_observable(o_operator, spectral.dim)
-    front = estimate_denominator(spectral, phi0, cfg)
-    d = front.approx.d
-    # Psi is a temporary of the call: freed, with the phase block, before sampling
-    table = expectation_table_2d(
-        spectral, phi0, obs, d,
-        states=table_states(spectral, phi0, d, phases=front.take_phases()))
-    return front.ratio(cfg, [table], spectral.tau)
+    return estimate_denominator(spectral, phi0, cfg, [obs]).ratio(cfg, spectral.tau)
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,
@@ -639,8 +637,8 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     """Property pipeline for a block-encoded (possibly non-unitary) observable.
 
     Identical to the general pipeline except the two-time shots come from the
-    post-selected circuit (:meth:`Denominator.block_ratio`).
+    post-selected circuit (:meth:`Denominator.ratio` with ``alpha``).
     """
     hadamard.as_matrix(block.operator, spectral.dim)  # shape, before any shot
-    front = estimate_denominator(spectral, phi0, cfg)
-    return front.block_ratio(cfg, spectral, phi0, block)
+    front = estimate_denominator(spectral, phi0, cfg, [block.operator], kind="block")
+    return front.ratio(cfg, spectral.tau, alpha=block.alpha)

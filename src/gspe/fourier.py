@@ -203,18 +203,26 @@ def evaluate_coefficients(coeffs: np.ndarray, x) -> np.ndarray:
     return acc
 
 
+@lru_cache(maxsize=4)
+def _circle_grid(n_grid: int) -> np.ndarray:
+    """The uniform grid x_k = -pi + 2pi k / n, ascending, built once per size
+    and read-only."""
+    x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    x.flags.writeable = False
+    return x
+
+
 def _synthesize_on_circle(coeffs: np.ndarray, n_grid: int):
-    """Values of F on the uniform grid x_k = -pi + 2pi k / n, by a real inverse
-    FFT of c_0..c_d; like :func:`evaluate_coefficients` it assumes conjugate
-    symmetry."""
+    """Values of F on the uniform grid x_k = -pi + 2pi k / n (the shared
+    read-only :func:`_circle_grid`), by a real inverse FFT of c_0..c_d; like
+    :func:`evaluate_coefficients` it assumes conjugate symmetry."""
     d = (coeffs.size - 1) // 2
     if n_grid <= 2 * d:
         raise FourierConstructionError("synthesis grid too coarse for degree")
     # grid starts at -pi: coefficient j picks up a (-1)^j twist
     twisted = coeffs[d:] * (-1.0) ** np.arange(d + 1)
     values = np.fft.irfft(twisted, n_grid) * n_grid
-    x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
-    return x, values
+    return _circle_grid(n_grid), values
 
 
 def _end_values(coeffs: np.ndarray, delta: float) -> np.ndarray:
@@ -227,22 +235,29 @@ def _end_values(coeffs: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float) -> bool:
+    """Range within [-RANGE_TOL, 1 + RANGE_TOL] on the check grid, and error
+    within 0.98 epsilon on the plateau [delta, pi - delta] and the trough
+    [-pi + delta, -delta], on the grid and at their four end points.
+
+    The four end points cost a 4 x d product, so they are tested first; the
+    plateau and the trough are index ranges of the ascending grid."""
+    # 2% slack so the coarser 20001-point acceptance grids stay below epsilon
+    budget = 0.98 * epsilon
+    ends = _end_values(coeffs, delta)
+    if not (abs(ends[0] - 1.0) <= budget and abs(ends[1] - 1.0) <= budget
+            and abs(ends[2]) <= budget and abs(ends[3]) <= budget):
+        return False
     d = (coeffs.size - 1) // 2
     n_grid = CHECK_GRID if CHECK_GRID > 2 * d else _exact_grid_size(d)
     x, values = _synthesize_on_circle(coeffs, n_grid)
     if values.min() < -RANGE_TOL or values.max() > 1.0 + RANGE_TOL:
         return False
-    plateau = (x >= delta) & (x <= math.pi - delta)
-    trough = (x >= -math.pi + delta) & (x <= -delta)
-    # 2% slack so the coarser 20001-point acceptance grids stay below epsilon
-    budget = 0.98 * epsilon
-    if np.abs(values[plateau] - 1.0).max() > budget:
-        return False
-    if np.abs(values[trough]).max() > budget:
-        return False
-    ends = _end_values(coeffs, delta)
-    return (abs(ends[0] - 1.0) <= budget and abs(ends[1] - 1.0) <= budget
-            and abs(ends[2]) <= budget and abs(ends[3]) <= budget)
+    plateau = slice(np.searchsorted(x, delta, side="left"),
+                    np.searchsorted(x, math.pi - delta, side="right"))
+    trough = slice(np.searchsorted(x, -math.pi + delta, side="left"),
+                   np.searchsorted(x, -delta, side="right"))
+    return (np.abs(values[plateau] - 1.0).max() <= budget
+            and np.abs(values[trough]).max() <= budget)
 
 
 def degree_for(delta: float, epsilon: float) -> int:

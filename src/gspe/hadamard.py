@@ -15,8 +15,10 @@ E[X + iY] equals the matrix element targeted by each circuit family.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +166,10 @@ def phase_block(spectral: SpectralData, d: int) -> np.ndarray:
 
     Rows j = 0..d are evaluated and row -j is the conjugate of row j, the
     same bits as evaluating it (sin is odd), for half the exponentials.
-    Every table up to degree d reads its middle rows, so an estimate builds
-    one block, at the largest of its degrees, and passes it to each table as
-    ``phases``; the tables come out bit-identical to stand-alone ones.
+    Every table up to degree d reads its middle rows, so
+    :func:`oracle_tables` builds one block, at the largest degree of the
+    estimate, and passes it to each table as ``phases``; the tables come out
+    bit-identical to stand-alone ones.
     """
     block = np.empty((2 * d + 1, spectral.dim), dtype=complex)
     _phases(spectral.scaled_eigenvalues, np.arange(d + 1), out=block[d:])
@@ -257,6 +260,99 @@ def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int, *,
         moved = observable(o_matrix, spectral.dim).apply(
             table_states(spectral, phi0, d))
     return np.linalg.norm(moved, axis=0) ** 2
+
+
+@dataclass(frozen=True)
+class OracleTables:
+    """The exact-moment tables one estimate samples from.
+
+    gse : :func:`expectation_table_1d` at the GSE degree, or None for an
+        estimate without a GSE stage
+    overlap : :func:`expectation_table_1d` at the property degree d
+    weighted : the weighted stage's table at degree d,
+        :func:`expectation_table_O` for the one-time kind and
+        :func:`expectation_table_2d` for the two-time and block kinds
+    norms : :func:`block_norm_table` for the block kind, else None
+    """
+
+    gse: np.ndarray | None
+    overlap: np.ndarray
+    weighted: np.ndarray
+    norms: np.ndarray | None = None
+
+
+TABLE_KINDS = ("one-time", "two-time", "block")
+
+
+def _content_key(obs: Observable) -> tuple:
+    """An observable by content: its signed-permutation form, or a SHA-256
+    digest of its dense matrix, so the key holds no copy of the matrix."""
+    if obs.columns is not None:
+        return ("permutation", obs.columns.tobytes(), obs.values.tobytes())
+    return ("dense", hashlib.sha256(np.ascontiguousarray(obs.matrix)).digest())
+
+
+def _weighted_tables(spectral: SpectralData, phi0, obs: Observable, d: int,
+                     kind: str, source: np.ndarray) -> tuple:
+    """(weighted, norms) of :class:`OracleTables` from ``source``: the phase
+    block for the one-time kind, Psi for the two-time kinds, whose table and
+    norms share one O Psi."""
+    if kind == "one-time":
+        return expectation_table_O(spectral, phi0, obs, d, phases=source), None
+    moved = obs.apply(source)
+    return (expectation_table_2d(spectral, phi0, obs, d, states=source, moved=moved),
+            block_norm_table(spectral, phi0, obs, d, moved=moved) if kind == "block"
+            else None)
+
+
+def oracle_tables(spectral: SpectralData, phi0, observables, d: int, *,
+                  d_gse: int | None = None,
+                  kind: str = "two-time") -> Iterator[OracleTables]:
+    """Yield the :class:`OracleTables` of each observable in turn: the
+    one-time tables of phi0 at ``d_gse`` and ``d``, and the ``kind`` table
+    of the observable (one of TABLE_KINDS) at ``d``.
+
+    Every estimate gets its tables here.  The instance keeps the tables it
+    yielded last, keyed by the bytes of phi0, the observable's content
+    (:func:`_content_key`), ``d``, ``d_gse`` and ``kind``; an equal key is a
+    hit and builds nothing.  A miss first drops the kept tables, so at most
+    one weighted table is held by the instance, then builds one phase
+    block at the larger degree, the one-time tables and Psi
+    (:func:`table_states`; the phase block itself for the one-time kind)
+    once for all the observables that miss, and each weighted table only
+    when it is asked for.  The phase block is dropped once Psi is built,
+    and Psi before the last observable's tables are yielded, so neither is
+    alive while the caller samples from them.  Hit or miss, the tables are
+    bit-identical to stand-alone ones.
+    """
+    if kind not in TABLE_KINDS:
+        raise ValueError(f"table kind must be one of {TABLE_KINDS}, got {kind!r}")
+    phi0 = as_state(phi0, dim=spectral.dim)
+    observables = [observable(op, spectral.dim) for op in observables]
+    memo = spectral._table_memo
+    one_time = source = None
+    for index, obs in enumerate(observables):
+        key = (phi0.tobytes(), _content_key(obs), d, d_gse, kind)
+        tables = memo.get(key)
+        if tables is None:
+            memo.clear()
+            if source is None:
+                phases = phase_block(spectral, max(d, d_gse or 0))
+                if one_time is None:
+                    one_time = tuple(
+                        None if degree is None
+                        else expectation_table_1d(spectral, phi0, degree, phases=phases)
+                        for degree in (d_gse, d))
+                source = (phases if kind == "one-time"
+                          else table_states(spectral, phi0, d, phases=phases))
+                del phases
+            tables = OracleTables(*one_time, *_weighted_tables(spectral, phi0, obs, d,
+                                                               kind, source))
+            memo[key] = tables
+        one_time = tables.gse, tables.overlap
+        if index == len(observables) - 1:
+            source = None
+        yield tables
 
 
 def exact_expectation_1d(spectral: SpectralData, phi0, j: int) -> complex:

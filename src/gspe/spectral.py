@@ -14,7 +14,7 @@ path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +43,22 @@ class SpectralData:
         eigenvector; real-valued when H is real (see :func:`hermitian_eigh`)
     gap : lambda_1 - lambda_0 (unnormalized)
     tau : scale factor with tau * max|lambda_k| = pi/3
+
+    An instance also keeps the exact-moment tables of its last estimate
+    (:func:`hadamard.oracle_tables`), keyed by the content of phi0, the
+    observable and the degrees, so an estimate at a new seed on the same
+    (phi0, O, degrees) builds none.  The memo holds one estimate's tables,
+    is left out of eq, hash and repr, and is freed with the instance;
+    :func:`diagonalize` returns read-only eigenvalues and eigenvectors, so
+    it cannot go stale through an in-place write.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     gap: float
     tau: float
+    _table_memo: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def dim(self) -> int:
@@ -100,7 +110,8 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
 
     Fails on a degenerate ground space unless
     ``require_unique_ground_state=False`` (the linear-system pipeline relies
-    on that escape hatch; see applications).
+    on that escape hatch; see applications).  The eigenvalues and
+    eigenvectors come back read-only.
     """
     if isinstance(H, PauliOperator):
         mat = H.matrix()
@@ -111,6 +122,8 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
     n_qubits = int(round(math.log2(mat.shape[0])))
     check_dense_size(n_qubits)
     eigenvalues, eigenvectors = hermitian_eigh(mat)
+    for array in (eigenvalues, eigenvectors):
+        array.flags.writeable = False
     gap = float(eigenvalues[1] - eigenvalues[0]) if eigenvalues.size > 1 else math.inf
     if require_unique_ground_state and gap <= degeneracy_tolerance:
         raise DegenerateGroundSpaceError(

@@ -1,0 +1,40 @@
+"""tools/compare_records.py: how two records' schedule fields are compared."""
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_records.py"
+_spec = importlib.util.spec_from_file_location("compare_records", TOOL)
+compare_records = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_records)
+
+
+def _blob(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def _verdict(parent: dict, change: dict) -> str:
+    return compare_records.schedule_verdict(_blob(parent), _blob(change),
+                                            "rdm-0-1-record.json")
+
+
+def test_schedule_fields_are_paired_by_path():
+    """A field only the change has does not shift the pairing, so a changed
+    shot count beside it is reported, and an equal d_prop is not."""
+    parent = {"shots": 7538278, "intermediate": {"d_prop": 76, "n_g": 9,
+                                                 "x_good": 0.25}}
+    change = {"shots": 2502714, "intermediate": {"d_gse": 64, "d_prop": 76,
+                                                 "n_g": 9, "x_good": 0.5}}
+    assert _verdict(parent, change) == ("schedule differs: shots 7538278 -> "
+                                        "2502714; intermediate.d_gse missing "
+                                        "in parent")
+    assert _verdict(change, parent) == ("schedule differs: intermediate.d_gse "
+                                        "missing in change; shots 2502714 -> "
+                                        "7538278")
+
+
+def test_matching_schedules_and_records_without_one():
+    record = {"shots": 10, "intermediate": {"d_prop": 76, "x_good": 0.25}}
+    moved = dict(record, intermediate={"d_prop": 76, "x_good": 0.5})
+    assert _verdict(record, moved) == "shots and schedule match"
+    assert _verdict({"x": 1}, {"x": 2}) == "no schedule fields"

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe.applications import KERNEL_TOL, build_gap_amplified
-from gspe.fourier import (COEFF_DECAY_CONSTANT, FourierConstructionError,
-                          _end_values, _synthesize_on_circle,
+from gspe.fourier import (CHECK_GRID, COEFF_DECAY_CONSTANT, RANGE_TOL,
+                          FourierConstructionError, _circle_grid,
+                          _construction_is_valid, _end_values,
+                          _synthesize_on_circle,
                           build_fourier_approx, degree_for,
                           evaluate_coefficients, evaluate_F,
                           fourier_coefficients_at, heaviside,
@@ -209,6 +211,72 @@ def test_end_values_match_direct_evaluation(d):
     ends = evaluate_coefficients(coeffs, np.array(
         [delta, math.pi - delta, -delta, -math.pi + delta]))
     assert np.abs(_end_values(coeffs, delta) - ends).max() <= 1e-12
+
+
+def _mask_verdicts(coeffs, delta, epsilon):
+    """The validity check's four verdicts (range, plateau, trough, end
+    points) by its first formula: boolean masks on a freshly built grid."""
+    d = (coeffs.size - 1) // 2
+    n_grid = CHECK_GRID if CHECK_GRID > 2 * d else 1 << (4 * d).bit_length()
+    values = np.fft.irfft(coeffs[d:] * (-1.0) ** np.arange(d + 1), n_grid) * n_grid
+    x = -math.pi + 2.0 * math.pi * np.arange(n_grid) / n_grid
+    budget = 0.98 * epsilon
+    plateau = (x >= delta) & (x <= math.pi - delta)
+    trough = (x >= -math.pi + delta) & (x <= -delta)
+    ends = evaluate_coefficients(coeffs, np.array(
+        [delta, math.pi - delta, -delta, -math.pi + delta]))
+    return {"range": not (values.min() < -RANGE_TOL or values.max() > 1.0 + RANGE_TOL),
+            "plateau": not np.abs(values[plateau] - 1.0).max() > budget,
+            "trough": not np.abs(values[trough]).max() > budget,
+            "ends": bool(abs(ends[0] - 1.0) <= budget and abs(ends[1] - 1.0) <= budget
+                         and abs(ends[2]) <= budget and abs(ends[3]) <= budget)}
+
+
+def _trough_bump(d: int, height: float, m: int = 40) -> np.ndarray:
+    """Coefficients c_{-d..d} of height * ((1 - sin x) / 2)^m, a bump of
+    degree m peaked at x = -pi/2, which leaves the end points untouched."""
+    n = 4 * m
+    x = 2.0 * math.pi * np.arange(n) / n
+    spectrum = np.fft.fft(height * ((1.0 - np.sin(x)) / 2.0) ** m) / n
+    out = np.zeros(2 * d + 1, dtype=complex)
+    js = np.arange(-m, m + 1)
+    out[d + js] = spectrum[np.mod(js, n)]
+    return out
+
+
+# (coefficients at (d, delta, epsilon), check at (delta, epsilon), bump
+# height, the verdicts that fail)
+VALIDITY_CASES = [
+    ((252, 0.05, 0.01), (0.05, 0.01), 0.0, []),
+    ((415, 0.02, 0.001), (0.02, 0.001), 0.0, ["range"]),
+    ((126, 0.05, 0.01), (0.05, 0.0056), 0.0, ["plateau"]),
+    ((252, 0.05, 0.01), (0.05, 0.01), 0.02, ["trough"]),
+    ((126, 0.05, 0.01), (0.025, 0.0875), 0.0, ["ends"]),
+    ((126, 0.05, 0.01), (0.05, 0.004), 0.0, ["plateau", "ends"]),
+    ((104, 0.02, 0.001), (0.02, 0.001), 0.0, ["range", "plateau", "trough", "ends"]),
+]
+
+
+@pytest.mark.parametrize("built, checked, bump, failing", VALIDITY_CASES)
+def test_validity_check_matches_the_mask_formula(built, checked, bump, failing):
+    """The check (end points first, then index ranges of the cached grid)
+    decides as the AND of the mask formula's four verdicts, on cases that
+    fail each verdict alone, several at once, or none."""
+    d = built[0]
+    coeffs = fourier_coefficients_at(*built) + _trough_bump(d, bump)
+    verdicts = _mask_verdicts(coeffs, *checked)
+    assert [name for name, ok in verdicts.items() if not ok] == failing
+    assert _construction_is_valid(coeffs, *checked) == all(verdicts.values())
+
+
+def test_check_grid_is_built_once_and_read_only():
+    grid = _circle_grid(CHECK_GRID)
+    assert grid is _synthesize_on_circle(fourier_coefficients_at(49, 0.05, 0.01),
+                                         CHECK_GRID)[0]
+    assert np.array_equal(grid, -math.pi + 2.0 * math.pi * np.arange(CHECK_GRID)
+                          / CHECK_GRID)
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 def _tfim3_gse():

@@ -28,6 +28,18 @@ def test_diagonalize_x_eigenvectors():
     assert abs(abs(plus.conj() @ s.eigenvectors[:, 1]) - 1.0) < 1e-12
 
 
+def test_diagonalize_returns_a_read_only_eigensystem():
+    """The instance keeps tables built from its eigensystem, so an in-place
+    write to it must fail rather than leave them stale."""
+    s = diagonalize(build_operator(TFIM3_TERMS))
+    for array in (s.eigenvalues, s.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert "_table_memo" not in repr(s)
+
+
 def test_tfim_gap_matches_independent_solver(tfim3):
     _, s = tfim3
     ref = np.linalg.eigvalsh(dense_from_terms(TFIM3_TERMS))

@@ -15,7 +15,8 @@ relative difference between corresponding numbers, the path of the first
 field that differs, and whether ``shots`` and every schedule integer
 (``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``) still match,
 so a change of the random stream can show that only estimates and evolution
-times moved.  The exit code is 0 when every file is identical.
+times moved; otherwise each schedule field that only one side has, and each
+that changed, is named.  The exit code is 0 when every file is identical.
 """
 from __future__ import annotations
 
@@ -164,29 +165,34 @@ def largest_difference(a: bytes, b: bytes, name: str) -> float:
     return worst
 
 
-def _first_mismatch(left: list, right: list) -> str | None:
-    """Path of the first (path, leaf) pair that differs between two lists."""
-    for (path, x), (other, y) in zip_longest(left, right, fillvalue=(None, None)):
+def first_difference(a: bytes, b: bytes, name: str) -> str | None:
+    """Path of the first leaf, in document order, whose path or value
+    differs; None when every leaf matches."""
+    for (path, x), (other, y) in zip_longest(_leaves(a, name), _leaves(b, name),
+                                             fillvalue=(None, None)):
         if (path, x) != (other, y):
             return path if path == other else f"{path} / {other}"
     return None
 
 
-def first_difference(a: bytes, b: bytes, name: str) -> str | None:
-    """Path of the first leaf, in document order, whose path or value
-    differs; None when every leaf matches."""
-    return _first_mismatch(_leaves(a, name), _leaves(b, name))
-
-
 def schedule_verdict(a: bytes, b: bytes, name: str) -> str:
     """Whether shots and every schedule integer (SCHEDULE, wherever it sits
-    in the record) match; the first that does not is named."""
-    left, right = ([leaf for leaf in _leaves(blob, name)
-                    if leaf[0].rsplit(".", 1)[-1] in SCHEDULE] for blob in (a, b))
-    if not left and not right:
+    in the record) match, the two records' fields paired by path: each
+    changed field and each field missing on one side is named, the parent's
+    in document order, then those only the change has."""
+    before, after = ({path: leaf for path, leaf in _leaves(blob, name)
+                      if path.rsplit(".", 1)[-1] in SCHEDULE} for blob in (a, b))
+    if not before and not after:
         return "no schedule fields"
-    path = _first_mismatch(left, right)
-    return "shots and schedule match" if path is None else f"schedule differs at {path}"
+    notes = []
+    for path in list(before) + [path for path in after if path not in before]:
+        if path not in after:
+            notes.append(f"{path} missing in change")
+        elif path not in before:
+            notes.append(f"{path} missing in parent")
+        elif before[path] != after[path]:
+            notes.append(f"{path} {before[path]} -> {after[path]}")
+    return "shots and schedule match" if not notes else "schedule differs: " + "; ".join(notes)
 
 
 def main(argv=None) -> int:
