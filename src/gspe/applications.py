@@ -36,7 +36,9 @@ class LinearSystemInstance:
     kappa: float
 
     def __post_init__(self):
-        svals = np.linalg.svd(self.a, compute_uv=False)
+        if not 1.0 <= self.kappa < math.inf:
+            raise PreconditionError(f"kappa must be a number >= 1, got {self.kappa}")
+        svals = singular_values(self.a)
         if svals.max() > 1.0 + 1e-10:
             raise PreconditionError(f"largest singular value {svals.max()} > 1")
         if svals.min() < 1.0 / self.kappa - 1e-10:
@@ -51,6 +53,16 @@ class LinearSystemInstance:
 
     def solution_state(self) -> np.ndarray:
         return normalized(np.linalg.solve(self.a, self.b))
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of A, which must not be singular: its smallest one
+    must clear numpy's rank tolerance (largest * size * machine epsilon)."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    if svals.min() <= svals.max() * max(np.shape(a)) * np.finfo(float).eps:
+        raise PreconditionError(
+            f"A is singular (smallest singular value {svals.min():.3e})")
+    return svals
 
 
 def random_linear_system(dim: int, kappa: float, rng) -> LinearSystemInstance:
@@ -199,10 +211,9 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
     block = hadamard.embed_block(m_tilde, alpha)
     cfg = EstimationConfig(epsilon=epsilon, eta=eta, nu=nu, seed=seed,
                            gamma=gamma, n_g=n_g, k=k)
-    front = estimators.estimate_denominator(spectral, phi0, cfg, [block.operator],
-                                            kind="block",
-                                            x_good=spectral.tau * gamma / 2.0)
-    report = front.ratio(cfg, spectral.tau, alpha=block.alpha)
+    report = estimators.estimate_ratio(spectral, phi0, cfg, [block.operator],
+                                       alpha=block.alpha,
+                                       x_good=spectral.tau * gamma / 2.0)
     x = inst.solution_state()
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
@@ -254,10 +265,10 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
     the four-Majorana expansion, with u_k = weight * phase / 4.
 
     The products are formed first, so a bad mode costs no shots.  Identity
-    products (p = q) are exact; the others are the terms of one weighted
-    stage (:meth:`estimators.Denominator.ratio`), k shots of each per group
-    (``cfg.k`` is per product), their two-time tables built one at a time
-    from one Psi (:func:`hadamard.oracle_tables`).
+    products (p = q) are exact; the others are the terms of the weighted
+    stage of one :func:`estimators.estimate_ratio` call, k shots of each per
+    group (``cfg.k`` is per product), their two-time tables built one at a
+    time from one Psi (:func:`hadamard.oracle_tables`).
     """
     n_modes = int(round(math.log2(spectral.dim)))
     # D = (G1 - i G2 + i G3 + G4) / 4 over gamma products
@@ -270,8 +281,8 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
             identity += weight / 4.0  # gamma_a^2 = identity, expectation exactly 1
         else:
             products.append(((weight * phase / 4.0, index), string))
-    front = estimators.estimate_denominator(spectral, phi0, cfg,
-                                            [string for _, string in products])
-    report = front.ratio(cfg, spectral.tau, terms=[t for t, _ in products])
+    report = estimators.estimate_ratio(spectral, phi0, cfg,
+                                       [string for _, string in products],
+                                       terms=[t for t, _ in products])
     report.value += identity
     return report

@@ -15,8 +15,7 @@ parameters.  Evolution time is accounted per shot as
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -65,8 +64,9 @@ class EstimationConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise PreconditionError(f"{name} must lie in (0, 1), got {v}")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise PreconditionError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise PreconditionError(
+                f"gamma must be positive and finite, got {self.gamma}")
         for name in ("n_s", "n_b", "n_g", "k"):
             v = getattr(self, name)
             if v is not None and (isinstance(v, bool) or not isinstance(v, Integral)
@@ -480,122 +480,75 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                                        spectral.tau), n_g, 1).real
 
 
-@dataclass
-class Denominator:
-    """What the stages before the weighted one hand it, and what they spent:
-    ``budget`` holds the evolution time and the shots of every stage so far.
+def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
+                   observables, *, terms=((1, 0),), one_time: bool = False,
+                   alpha: float | None = None,
+                   x_good: float | None = None) -> EstimateReport:
+    """The property estimate: the weighted stage over the overlap p0_bar,
+    both read at x_good, after EstimateGSE and the good point (both skipped
+    when ``x_good`` is given).  GSE runs at accuracy gamma/8, in the units
+    of H, with Fourier budget eta/8; the overlap and weighted stages on the
+    approximant at delta = tau*gamma/5 with budget eta*epsilon/32, each
+    targeting epsilon/4; nu is shared evenly over the stages run.
 
-    ``stages`` counts the stages sharing nu (:func:`estimate_denominator`).
-    ``tables`` yields the :class:`hadamard.OracleTables` of each observable
-    of the weighted stage, in order (:func:`hadamard.oracle_tables`).
-    """
-
-    x_good: float
-    approx: FourierApprox
-    p0_bar: float
-    stages: int
-    budget: EvolutionBudget
-    intermediate: dict
-    tables: Iterator[hadamard.OracleTables] = field(repr=False)
-
-    def ratio(self, cfg: EstimationConfig, tau: float, *, terms=((1, 0),),
-              alpha: float | None = None) -> EstimateReport:
-        """The weighted stage divided by p0_bar.  Term (u, index) of ``terms``
-        draws the weighted table of the next item of ``tables``, dropped
-        before the item after it is built, from weighted stream ``index``;
-        a group's value is
-        sum u * (the term's group mean).  One schedule, at nu/stages and
-        sum |u|^2 times the first table's per-shot bound, serves every term.
-
-        With ``alpha``, the shots come from the post-selected circuit of a
-        block encoding of norm alpha, whose per-shot variance carries an
-        alpha^2 factor; the pool draws them from the circuit's cell law
-        (:func:`hadamard.block_law`), built once per table.
-        """
-        values = None
-        for u, index in terms:
-            tables = next(self.tables)
-            table = tables.weighted
-            law = (None if alpha is None
-                   else hadamard.block_law(table, tables.norms, alpha))
-            del tables
-            if values is None:
-                n_g, k = _stage_schedule(self.approx, cfg, cfg.nu / self.stages,
-                                         two_time=table.ndim == 2, alpha=alpha,
-                                         scale=sum(abs(w) ** 2 for w, _ in terms))
-            means = group_means(self.approx, table, self.x_good, n_g, k,
-                                stage_rng(cfg.seed, "weighted", index=index),
-                                self.budget, tau, law=law, alpha=alpha)
-            del table, law
-            means = means if u == 1 else u * means  # u = 1: the means, bit for bit
-            values = means if values is None else values + means
-        num = median_of_means(values, n_g, 1)
-        inter = dict(self.intermediate, p0o0_bar=num)
-        if alpha is not None:
-            inter["alpha"] = alpha
-        return EstimateReport(value=num / self.p0_bar, budget=self.budget,
-                              intermediate=inter)
-
-
-def estimate_denominator(spectral: SpectralData, phi0, cfg: EstimationConfig,
-                         observables, *, kind: str = "two-time",
-                         x_good: float | None = None) -> Denominator:
-    """EstimateGSE and the good point (both skipped when ``x_good`` is
-    given), then the overlap p0_bar = C(x_good), which must come out positive.
-
-    The budget split of every pipeline: GSE at accuracy gamma/8 with Fourier
-    budget eta/8; the overlap and weighted stages on the approximant at
-    delta = tau*gamma/5 with budget eta*epsilon/32, each targeting epsilon/4;
-    nu shared evenly over the stages run (GSE, overlap, weighted), however
-    many terms the weighted stage holds (:meth:`Denominator.ratio`).
-
-    Both approximants are built first, so every table of the estimate comes
-    from one :func:`hadamard.oracle_tables` call over the weighted stage's
-    ``observables`` (tables of ``kind``); its first tables are built, or
-    found on the instance, before the first shot, and the Denominator hands
-    them and the rest on.
+    Term (u, index) of ``terms`` samples the weighted table of the next
+    observable from weighted stream ``index``; a group's value is sum u *
+    (the term's group mean), on one schedule at sum |u|^2 times one table's
+    per-shot bound.  The tables (:func:`hadamard.oracle_tables`) are
+    one-time with ``one_time``, block with ``alpha`` (shots of the
+    post-selected circuit of a block encoding of norm alpha, drawn from its
+    cell law, :func:`hadamard.block_law`) and two-time otherwise.  Each
+    weighted table is dropped before the next one is built.
     """
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
+    kind = "block" if alpha is not None else "one-time" if one_time else "two-time"
     stages = 3 if x_good is None else 2
     nu = cfg.nu / stages
     budget, inter = EvolutionBudget(), {"gamma": gamma}
     approx = _property_approx(spectral, cfg)
-    d_gse = None
+    gse_approx = None
     if x_good is None:
-        gse_cfg = replace(cfg, epsilon=gamma / 8.0, gamma=gamma)
-        gse_approx = _gse_approx(spectral, gse_cfg)
-        d_gse = gse_approx.d
-    tables = hadamard.oracle_tables(spectral, phi0, observables, approx.d,
-                                    d_gse=d_gse, kind=kind)
-    first = next(tables)
+        gse_approx = build_fourier_approx(spectral.tau * gamma / 8.0, cfg.eta / 8.0)
+    tables = hadamard.oracle_tables(
+        spectral, phi0, observables, approx.d, kind=kind,
+        d_gse=None if gse_approx is None else gse_approx.d)
+    item = next(tables)
     if x_good is None:
-        gse = estimate_gse(spectral, phi0, gse_cfg, nu=nu, approx=gse_approx,
-                           table=first.gse)
+        gse = estimate_gse(spectral, phi0, cfg, nu=nu, approx=gse_approx,
+                           table=item.gse)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
-                            epsilon=gse_cfg.epsilon)
+                            epsilon=gamma / 8.0)
         budget = gse.budget
         inter.update(gse.intermediate)
     p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
-                              budget=budget, table=first.overlap)
+                              budget=budget, table=item.overlap)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
     n_g, k = _stage_schedule(approx, cfg, nu)
     inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
-    return Denominator(x_good=x_good, approx=approx, p0_bar=p0_bar, stages=stages,
-                       budget=budget, intermediate=inter,
-                       tables=_handed_on(first, tables))
-
-
-def _handed_on(first, rest):
-    """``first``, then the items of ``rest``; ``first`` is dropped before
-    the next item is asked for, so the two are never alive together."""
-    yield first
-    del first
-    yield from rest
+    n_g, k = _stage_schedule(approx, cfg, nu, two_time=kind != "one-time",
+                             alpha=alpha, scale=sum(abs(u) ** 2 for u, _ in terms))
+    values = None
+    for u, index in terms:
+        item = item or next(tables)
+        table = item.weighted
+        law = None if alpha is None else hadamard.block_law(table, item.norms, alpha)
+        item = None
+        means = group_means(approx, table, x_good, n_g, k,
+                            stage_rng(cfg.seed, "weighted", index=index),
+                            budget, spectral.tau, law=law, alpha=alpha)
+        del table, law
+        means = means if u == 1 else u * means  # u = 1: the means, bit for bit
+        values = means if values is None else values + means
+    num = median_of_means(values, n_g, 1)
+    inter["p0o0_bar"] = num
+    if alpha is not None:
+        inter["alpha"] = alpha
+    return EstimateReport(value=num / p0_bar, budget=budget, intermediate=inter)
 
 
 # --- end-to-end pipelines -----------------------------------------------------
@@ -620,15 +573,14 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     comm = np.linalg.norm((lam[:, None] - lam) * hadamard.two_time(v, obs.apply(v)))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
-    front = estimate_denominator(spectral, phi0, cfg, [obs], kind="one-time")
-    return front.ratio(cfg, spectral.tau)
+    return estimate_ratio(spectral, phi0, cfg, [obs], one_time=True)
 
 
 def estimate_gsprop_general(spectral: SpectralData, phi0, o_operator,
                             cfg: EstimationConfig) -> EstimateReport:
     """Property pipeline for a general unitary observable (two-time circuit)."""
     obs = _unitary_observable(o_operator, spectral.dim)
-    return estimate_denominator(spectral, phi0, cfg, [obs]).ratio(cfg, spectral.tau)
+    return estimate_ratio(spectral, phi0, cfg, [obs])
 
 
 def estimate_gsprop_block(spectral: SpectralData, phi0,
@@ -637,8 +589,6 @@ def estimate_gsprop_block(spectral: SpectralData, phi0,
     """Property pipeline for a block-encoded (possibly non-unitary) observable.
 
     Identical to the general pipeline except the two-time shots come from the
-    post-selected circuit (:meth:`Denominator.ratio` with ``alpha``).
+    post-selected circuit (:func:`estimate_ratio` with ``alpha``).
     """
-    hadamard.as_matrix(block.operator, spectral.dim)  # shape, before any shot
-    front = estimate_denominator(spectral, phi0, cfg, [block.operator], kind="block")
-    return front.ratio(cfg, spectral.tau, alpha=block.alpha)
+    return estimate_ratio(spectral, phi0, cfg, [block.operator], alpha=block.alpha)

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .applications import LinearSystemInstance
+from .applications import LinearSystemInstance, singular_values
 from .pauli import OperatorError, PauliOperator, build_operator, diagonal_operator
 
 
@@ -98,7 +98,9 @@ def parse_linear_system(spec: dict) -> LinearSystemInstance:
     if a.shape != (b.size, b.size):
         raise ConfigError(f"instance.A must be a square matrix of b's length "
                           f"{b.size}, got shape {a.shape}")
-    kappa = spec.get("kappa") or 1.0 / np.linalg.svd(a, compute_uv=False).min()
+    kappa = spec.get("kappa")
+    if kappa is None:
+        kappa = 1.0 / singular_values(a).min()
     return LinearSystemInstance(a=a, b=b, kappa=parse_number(kappa, "instance.kappa"))
 
 

@@ -2,11 +2,12 @@ import csv
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from gspe import cli
+from gspe import applications, cli
 from gspe.estimators import acdf_exact
 from gspe.fourier import build_fourier_approx
 from gspe.serialization import (ConfigError, load_json, parse_linear_system,
@@ -418,6 +419,38 @@ def test_config_field_types(tmp_path, capsys, monkeypatch, case):
     assert cli.main([command, str(path)]) == code
     err = capsys.readouterr().err
     assert (f"config error: {field} " if field else "pipeline error") in err
+
+
+_SINGULAR_A = [[[v if i == j else 0.0, 0.0] for j in range(4)]  # diag(1, 0.5, 0.25, 0)
+               for i, v in enumerate([1.0, 0.5, 0.25, 0.0])]
+SINGULAR_CASES = {
+    "singular-no-kappa": {"A": _SINGULAR_A},
+    "singular-kappa-null": {"A": _SINGULAR_A, "kappa": None},
+    "singular-kappa-given": {"A": _SINGULAR_A, "kappa": 4.0},
+    "kappa-0": {"kappa": 0},
+    "kappa-below-1": {"kappa": 0.5},
+}
+
+
+@pytest.mark.parametrize("case", list(SINGULAR_CASES))
+def test_singular_system_or_bad_kappa_is_a_precondition(tmp_path, capsys,
+                                                        monkeypatch, case):
+    """A singular A, or a kappa below 1, fails as a pipeline precondition
+    before any eigensolve and without a warning; a null kappa is absent."""
+    monkeypatch.setattr(applications, "diagonalize", _no_eigensolve)
+    config = json.loads(json.dumps(_QLSS))
+    config["instance"].pop("kappa")
+    config["instance"].update(SINGULAR_CASES[case])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path)]) == cli.EXIT_PIPELINE
+    assert "pipeline error (PreconditionError)" in capsys.readouterr().err
+
+
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("eigensolve reached")
 
 
 @pytest.mark.parametrize("alpha", [None, 1.5])

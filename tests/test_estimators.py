@@ -9,7 +9,7 @@ from gspe import (EstimationConfig, build_operator, diagonalize, embed_block,
                   estimate_gse, estimate_gsprop_block,
                   estimate_gsprop_commutative, estimate_gsprop_general,
                   estimate_overlap, good_point, median_of_means)
-from gspe import estimators
+from gspe import estimators, hadamard
 from gspe.applications import (estimate_1rdm_entry, majorana_product,
                                qlss_estimate, random_linear_system)
 from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError,
@@ -27,7 +27,8 @@ from gspe.hadamard import (SAMPLE_BLOCK, block_law, draw_block_xy, draw_xy_pm1,
 from gspe.seeding import stage_rng
 from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
-from conftest import kron_word, random_hermitian, random_unitary
+from conftest import (TFIM3_TERMS, kron_word, random_hermitian, random_state,
+                      random_unitary)
 
 
 def _spectral_at(positions):
@@ -736,7 +737,7 @@ def test_commutation_check_decision_and_message(tfim3, rng, monkeypatch, kind):
     comm = np.linalg.norm(h @ o_mat - o_mat @ h)
     commutes = comm <= COMMUTATION_TOL * max(1.0, np.linalg.norm(h))
     assert commutes == (kind in ("commuting-pauli", "degenerate-swap"))
-    monkeypatch.setattr(estimators, "estimate_denominator", _no_sampling)
+    monkeypatch.setattr(estimators, "estimate_ratio", _no_sampling)
     cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
     if commutes:
         with pytest.raises(_ReachedSampling):
@@ -751,6 +752,7 @@ def test_wrong_size_observable_rejected_before_sampling(variant2q, monkeypatch,
                                                         pipeline):
     _, s = variant2q
     monkeypatch.setattr(estimators, "_pool_sums", _no_sampling)
+    monkeypatch.setattr(hadamard, "phase_block", _no_sampling)
     cfg = EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1)
     o_mat = np.eye(8)
     with pytest.raises(DimensionMismatchError,
@@ -916,6 +918,29 @@ def test_config_validation():
         EstimationConfig(epsilon=0.1, eta=1.5, nu=0.1)
     with pytest.raises(PreconditionError):
         EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, gamma=-1.0)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_config_rejects_non_finite_gamma(gamma):
+    with pytest.raises(PreconditionError, match="gamma must be positive and finite"):
+        EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, gamma=gamma)
+
+
+def test_property_pipeline_is_invariant_to_scaling_h(rng):
+    """GSE runs at accuracy gamma/8 in the units of H, so a gap of 8 or more
+    is no error and scaling H leaves the estimate and its shots unchanged:
+    every Fourier parameter is a product with tau, which scales inversely."""
+    instances = [diagonalize(build_operator([(scale * c, w) for c, w in TFIM3_TERMS]))
+                 for scale in (1.0, 50.0, 1000.0)]
+    assert instances[1].gap > 8.0
+    phi0 = mixed_with_noise(instances[0].ground_state(), random_state(rng, 8), 0.5)
+    cfg = EstimationConfig(epsilon=0.05, eta=0.4, nu=0.1, seed=3)
+    runs = []
+    for s in instances:
+        report = estimate_gsprop_general(s, phi0, kron_word("XXX"), cfg)
+        runs.append((report.value, report.shots_used,
+                     report.intermediate["d_gse"], report.intermediate["d_prop"]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("field,value", [
