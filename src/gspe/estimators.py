@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from . import hadamard
-from .fourier import FourierApprox, build_fourier_approx
+from .fourier import MAX_DELTA, FourierApprox, build_fourier_approx
 # block_norm_table too: perfbench/layers.py wraps the table builders by
 # their names in this module
 from .hadamard import (block_norm_table, expectation_table_1d,
@@ -44,9 +44,14 @@ class PreconditionError(ValueError):
 class EstimationConfig:
     """Statistical targets plus optional shot-schedule overrides.
 
-    ``gamma`` defaults to the oracle gap of the instance.  Derived schedules
-    may be pinned via ``n_s``/``n_b`` (Certify batches) and ``n_g``/``k``
-    (median-of-means groups and group size), each None or an int >= 1.
+    ``epsilon`` is the accuracy: a dimensionless fraction in (0, 1) for a
+    property estimate (checked by :func:`estimate_ratio` and
+    :func:`estimate_overlap`), an energy in the units of H for
+    :func:`estimate_gse` run on its own (checked there as delta = tau *
+    epsilon within the Fourier construction's range).  ``gamma`` defaults
+    to the oracle gap of the instance.  Derived schedules may be pinned via
+    ``n_s``/``n_b`` (Certify batches) and ``n_g``/``k`` (median-of-means
+    groups and group size), each None or an int >= 1.
     """
 
     epsilon: float
@@ -60,7 +65,10 @@ class EstimationConfig:
     k: int | None = None
 
     def __post_init__(self):
-        for name in ("epsilon", "eta", "nu"):
+        if not 0.0 < self.epsilon < math.inf:
+            raise PreconditionError(
+                f"epsilon must be positive and finite, got {self.epsilon}")
+        for name in ("eta", "nu"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise PreconditionError(f"{name} must lie in (0, 1), got {v}")
@@ -383,8 +391,15 @@ class GSEReport(EstimateReport):
 
 
 def _gse_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
-    """Approximant of the GSE stage: delta = tau * epsilon, budget eta/8."""
-    return build_fourier_approx(spectral.tau * cfg.epsilon, cfg.eta / 8.0)
+    """Approximant of the GSE stage: delta = tau * epsilon, budget eta/8.
+    epsilon is an energy in the units of H; what bounds it is delta, which
+    must lie within the Fourier construction's range."""
+    delta = spectral.tau * cfg.epsilon
+    if not delta < MAX_DELTA:
+        raise PreconditionError(
+            f"GSE accuracy epsilon={cfg.epsilon} gives delta = tau*epsilon = "
+            f"{delta}, outside the Fourier construction's range (0, pi/6)")
+    return build_fourier_approx(delta, cfg.eta / 8.0)
 
 
 def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
@@ -444,22 +459,28 @@ def group_means(approx: FourierApprox, table: np.ndarray, x_good: float,
 
 def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
     """Approximant of the overlap and weighted stages: delta = tau*gamma/5
-    keeps both jumps clear of the good point; budget eta*epsilon/32."""
+    keeps both jumps clear of the good point; budget eta*epsilon/32.
+    epsilon is the dimensionless property accuracy, in (0, 1)."""
+    if not cfg.epsilon < 1.0:
+        raise PreconditionError(f"epsilon must lie in (0, 1), got {cfg.epsilon}")
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     return build_fourier_approx(spectral.tau * gamma / 5.0,
                                 cfg.eta * (cfg.epsilon / 4.0) / 8.0)
 
 
 def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
-                    two_time: bool = False, alpha: float | None = None, scale=1):
-    """(n_g, k) of the overlap or the weighted stage at failure probability nu.
+                    eta: float | None = None, two_time: bool = False,
+                    alpha: float | None = None, scale=1):
+    """(n_g, k) of the overlap or the weighted stage at failure probability nu,
+    for the target eta * epsilon/4 (eta = cfg.eta unless given).
     One shot's second moment is at most 2 W^2 on a one-time table and
     2 alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable),
     times scale = sum |u|^2 over the terms of a weighted stage."""
     w = approx.total_weight
     bound = (2.0 * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
              else 2.0 * w ** 2)
-    return mom_schedule(scale * bound, cfg.eta, cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
+    return mom_schedule(scale * bound, cfg.eta if eta is None else eta,
+                        cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
 
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
@@ -490,6 +511,18 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     of H, with Fourier budget eta/8; the overlap and weighted stages on the
     approximant at delta = tau*gamma/5 with budget eta*epsilon/32, each
     targeting epsilon/4; nu is shared evenly over the stages run.
+
+    The overlap stage targets eta*epsilon/4, at the promised floor p0 >= eta.
+    The weighted stage targets p_lo*epsilon/4 with
+    p_lo = min(1, max(eta, p0_bar - 9 eta epsilon/32)), a lower bound on p0
+    read off the overlap just measured: except with probability nu/stages,
+    p0_bar lies within eta*epsilon/4 (sampling) + eta*epsilon/32 (Fourier
+    bias) of p0, so p_lo <= p0 on that event.  The weighted shots are fresh
+    draws, independent of the overlap's, so on that event the numerator's
+    sampling error p_lo*epsilon/4 is at most epsilon/4 of p0, its share of
+    the ratio error as at p_lo = eta; the nu split is unchanged.  Certify's
+    batches run before any overlap exists and stay at eta, and a pinned
+    ``cfg.k`` pins the weighted stage's group size.
 
     Term (u, index) of ``terms`` samples the weighted table of the next
     observable from weighted stream ``index``; a group's value is sum u *
@@ -530,8 +563,10 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
-    n_g, k = _stage_schedule(approx, cfg, nu, two_time=kind != "one-time",
+    p_lo = min(1.0, max(cfg.eta, p0_bar - 9.0 * cfg.eta * cfg.epsilon / 32.0))
+    n_g, k = _stage_schedule(approx, cfg, nu, eta=p_lo, two_time=kind != "one-time",
                              alpha=alpha, scale=sum(abs(u) ** 2 for u, _ in terms))
+    inter.update({"p_lo": p_lo, "k_weighted": k})
     values = None
     for u, index in terms:
         item = item or next(tables)

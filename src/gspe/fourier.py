@@ -304,6 +304,9 @@ def _validate(approx: FourierApprox) -> None:
         raise FourierConstructionError("constructed approximant failed validation")
 
 
+MAX_DELTA = math.pi / 6.0  # build_fourier_approx takes delta in (0, MAX_DELTA)
+
+
 @lru_cache(maxsize=64)
 def build_fourier_approx(delta: float, epsilon: float) -> FourierApprox:
     """Build and validate the Heaviside approximant for (delta, epsilon).
@@ -312,7 +315,7 @@ def build_fourier_approx(delta: float, epsilon: float) -> FourierApprox:
     satisfies, on dense grids: range within [-1e-9, 1+1e-9], sup error at most
     epsilon away from the jumps, conjugate symmetry, and O(1/|j|) decay.
     """
-    if not 0.0 < delta < math.pi / 6.0:
+    if not 0.0 < delta < MAX_DELTA:
         raise FourierConstructionError(f"delta must be in (0, pi/6), got {delta}")
     d = degree_for(delta, epsilon)
     coeffs = fourier_coefficients_at(d, delta, epsilon)

@@ -392,9 +392,13 @@ CONFIG_FIELD_CASES = {
                       "instance.b"),
     "qlss-a-not-square-with-b": ("run", _with(_QLSS, "instance.A", [[1.0]]), None,
                                  cli.EXIT_CONFIG, "instance.A"),
-    # a number of the right type out of range fails the pipeline's precondition
-    "epsilon-above-1": ("run", _with(_GSE, "epsilon", 1.5), None,
+    # a number of the right type out of range fails the pipeline's precondition:
+    # a property accuracy above 1, a GSE accuracy (an energy) whose tau*epsilon
+    # leaves the Fourier construction's range
+    "epsilon-above-1": ("run", _with(_RDM, "epsilon", 1.5), None,
                         cli.EXIT_PIPELINE, None),
+    "gse-delta-out-of-range": ("run", _with(_GSE, "epsilon", 100.0), None,
+                               cli.EXIT_PIPELINE, None),
     "shot-override-0": ("run", _with(_GSE, "shot_overrides", {"n_s": 0}), None,
                         cli.EXIT_PIPELINE, None),
     "rdm-p-out-of-range": ("run", _with(_RDM, "rdm.p", 2), None,
@@ -419,6 +423,27 @@ def test_config_field_types(tmp_path, capsys, monkeypatch, case):
     assert cli.main([command, str(path)]) == code
     err = capsys.readouterr().err
     assert (f"config error: {field} " if field else "pipeline error") in err
+
+
+def test_gse_mode_is_invariant_to_scaling_h(monkeypatch):
+    """The gse mode's epsilon is an energy in the units of H: the shipped
+    config with H and epsilon both times 100 is the same problem, with the
+    same schedule, degree and shots, and the estimate times 100."""
+    monkeypatch.delenv("GSPE_SEED", raising=False)
+    records = []
+    for scale in (1.0, 100.0):
+        config = json.loads(json.dumps(_GSE))
+        for term in config["instance"]["terms"]:
+            term["coeff"] *= scale
+        config["epsilon"] = 0.019 * scale
+        records.append(cli.run(config))
+    base, scaled = records
+    assert scaled["config"]["epsilon"] == 1.9
+    for key in ("d_gse", "n_s", "n_b"):
+        assert scaled["intermediate"][key] == base["intermediate"][key]
+    assert scaled["shots"] == base["shots"]
+    assert scaled["estimate"] == pytest.approx(100.0 * base["estimate"], rel=1e-12)
+    assert scaled["error"] == pytest.approx(100.0 * base["error"], rel=1e-9)
 
 
 _SINGULAR_A = [[[v if i == j else 0.0, 0.0] for j in range(4)]  # diag(1, 0.5, 0.25, 0)

@@ -38,3 +38,11 @@ def test_matching_schedules_and_records_without_one():
     moved = dict(record, intermediate={"d_prop": 76, "x_good": 0.5})
     assert _verdict(record, moved) == "shots and schedule match"
     assert _verdict({"x": 1}, {"x": 2}) == "no schedule fields"
+
+
+def test_weighted_group_size_is_a_schedule_field():
+    parent = {"shots": 5136090, "intermediate": {"k_weighted": 259473}}
+    change = {"shots": 3618225, "intermediate": {"k_weighted": 183645}}
+    assert _verdict(parent, change) == ("schedule differs: "
+                                        "intermediate.k_weighted 259473 -> "
+                                        "183645; shots 5136090 -> 3618225")

@@ -853,7 +853,8 @@ def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
 def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     """The weighted stage draws mom_schedule's shots at the per-shot bound of
     its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit;
-    a 1RDM entry's m products share one stage at (m/16) 2 W^4."""
+    a 1RDM entry's m products share one stage at (m/16) 2 W^4.  Its target
+    is p_lo * epsilon/4, p_lo the overlap floor the record reports."""
     _, s = variant2q
     o_mat = build_operator([(1.0, "XI" if pipeline != "commutative" else "II")]
                            ).matrix()
@@ -867,7 +868,8 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
         report = estimate_1rdm_entry(s, phi0, p, q, cfg)
         inter = report.intermediate
         n_g, k = mom_schedule((m / 16) * (2.0 * inter["total_weight_prop"] ** 4),
-                              cfg.eta, cfg.epsilon / 4.0, cfg.nu / 3.0)
+                              inter["p_lo"], cfg.epsilon / 4.0, cfg.nu / 3.0)
+        assert inter["k_weighted"] == k
         assert report.shots_used == (inter["n_s"] * inter["n_b"]
                                      + inter["n_g"] * inter["k_overlap"]
                                      + m * n_g * k)
@@ -882,8 +884,9 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
                                  cfg.eta * (cfg.epsilon / 4.0) / 8.0).total_weight
         n_o, k_o = mom_schedule(2.0 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
                                 cfg.nu / 2.0)
-        n_g, k = mom_schedule(2.0 * 1.5 ** 2 * w ** 4, cfg.eta, cfg.epsilon / 4.0,
-                              cfg.nu / 2.0)
+        n_g, k = mom_schedule(2.0 * 1.5 ** 2 * w ** 4, inter["p_lo"],
+                              cfg.epsilon / 4.0, cfg.nu / 2.0)
+        assert inter["k_weighted"] == k
         assert report.shots_used == n_o * k_o + n_g * k
         return
     if pipeline == "commutative":
@@ -896,9 +899,63 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     w = inter["total_weight_prop"]
     bound = {"commutative": 2.0 * w ** 2, "general": 2.0 * w ** 4,
              "block": 2.0 * 1.5 ** 2 * w ** 4}[pipeline]
-    n_g, k = mom_schedule(bound, cfg.eta, cfg.epsilon / 4.0, cfg.nu / 3.0)
+    n_g, k = mom_schedule(bound, inter["p_lo"], cfg.epsilon / 4.0, cfg.nu / 3.0)
+    assert inter["k_weighted"] == k
     assert report.shots_used == (inter["n_s"] * inter["n_b"]
                                  + inter["n_g"] * inter["k_overlap"] + n_g * k)
+
+
+def _overlap_reading(monkeypatch, p0_bar):
+    """Run the overlap stage as it is, then report ``p0_bar`` as its estimate."""
+    real = estimators.estimate_overlap
+
+    def reading(*args, **kwargs):
+        real(*args, **kwargs)
+        return p0_bar
+
+    monkeypatch.setattr(estimators, "estimate_overlap", reading)
+
+
+@pytest.mark.parametrize("p0_bar,p_lo", [
+    (0.41, 0.4),       # p0_bar - 9 eta eps/32 = 0.39875 falls below the eta floor
+    (0.7, 0.68875),    # 0.7 - 9 * 0.4 * 0.1 / 32
+    (1.3, 1.0)])       # capped at 1
+def test_weighted_stage_is_sized_by_the_overlap_floor(variant2q, rng, monkeypatch,
+                                                      p0_bar, p_lo):
+    """The weighted stage targets p_lo * epsilon/4 with p_lo = min(1, max(eta,
+    p0_bar - 9 eta epsilon/32)) of the overlap estimate p0_bar; Certify and
+    the overlap stage keep the promised eta."""
+    _, s = variant2q
+    o_mat = build_operator([(1.0, "XI")]).matrix()
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37)
+    _overlap_reading(monkeypatch, p0_bar)
+    report = estimate_gsprop_general(s, phi0, o_mat, cfg)
+    inter = report.intermediate
+    assert inter["p0_bar"] == p0_bar
+    assert inter["p_lo"] == pytest.approx(p_lo, abs=1e-15)
+    w = build_fourier_approx(s.tau * s.gap / 5.0, 0.4 * 0.1 / 32.0).total_weight
+    n_gse = math.prod(certify_schedule(inter["total_weight_gse"], 0.4, 0.1 / 3.0,
+                                       s.tau * s.gap / 8.0))
+    n_o, k_o = mom_schedule(2.0 * w ** 2, 0.4, 0.1 / 4.0, 0.1 / 3.0)
+    n_g, k = mom_schedule(2.0 * w ** 4, p_lo, 0.1 / 4.0, 0.1 / 3.0)
+    assert (inter["n_g"], inter["k_overlap"], inter["k_weighted"]) == (n_o, k_o, k)
+    assert report.shots_used == n_gse + n_o * k_o + n_g * k
+
+
+def test_pinned_k_pins_the_weighted_stage(variant2q, rng, monkeypatch):
+    """A pinned group size k holds for the weighted stage whatever p_lo is."""
+    _, s = variant2q
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37, n_g=5, k=1000)
+    _overlap_reading(monkeypatch, 0.9)
+    report = estimate_gsprop_general(s, phi0, np.eye(4), cfg)
+    inter = report.intermediate
+    assert inter["p_lo"] > cfg.eta
+    assert inter["k_weighted"] == inter["k_overlap"] == 1000
+    assert report.shots_used == inter["n_s"] * inter["n_b"] + 2 * 5 * 1000
 
 
 def test_shot_overrides_respected(variant2q):
@@ -924,6 +981,23 @@ def test_config_validation():
 def test_config_rejects_non_finite_gamma(gamma):
     with pytest.raises(PreconditionError, match="gamma must be positive and finite"):
         EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, gamma=gamma)
+
+
+def test_epsilon_range_is_checked_by_each_stage(variant2q, monkeypatch):
+    """The config takes any positive finite epsilon; a property estimate
+    needs it in (0, 1), a GSE stage needs tau * epsilon below pi/6, and
+    both are refused before a table is built."""
+    _, s = variant2q
+    with pytest.raises(PreconditionError, match="epsilon must be positive and finite"):
+        EstimationConfig(epsilon=math.inf, eta=0.5, nu=0.1)
+    monkeypatch.setattr(hadamard, "oracle_tables", None)
+    cfg = EstimationConfig(epsilon=1.5, eta=0.5, nu=0.1)
+    with pytest.raises(PreconditionError, match=re.escape("epsilon must lie in (0, 1)")):
+        estimate_gsprop_general(s, s.ground_state(), np.eye(4), cfg)
+    with pytest.raises(PreconditionError, match="outside the Fourier construction"):
+        estimate_gse(s, s.ground_state(),
+                     EstimationConfig(epsilon=math.pi / 3 / s.tau, eta=0.5, nu=0.1),
+                     table=np.zeros(1))
 
 
 def test_property_pipeline_is_invariant_to_scaling_h(rng):

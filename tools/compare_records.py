@@ -13,7 +13,8 @@ alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
 built below.  For every output file it prints ``identical``, or the largest
 relative difference between corresponding numbers, the path of the first
 field that differs, and whether ``shots`` and every schedule integer
-(``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``) still match,
+(``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``,
+``k_weighted``) still match,
 so a change of the random stream can show that only estimates and evolution
 times moved; otherwise each schedule field that only one side has, and each
 that changed, is named.  The exit code is 0 when every file is identical.
@@ -109,7 +110,8 @@ def run(src: Path, command: str, config: dict, seed) -> dict:
         return {name: (Path(work) / name).read_bytes() for name in names}
 
 
-SCHEDULE = ("shots", "d_gse", "d_prop", "n_s", "n_b", "n_g", "k_overlap")
+SCHEDULE = ("shots", "d_gse", "d_prop", "n_s", "n_b", "n_g", "k_overlap",
+            "k_weighted")
 
 
 def _leaves(blob: bytes, name: str) -> list:
