@@ -218,7 +218,7 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
              for key in ("x_good", "p0_bar", "p_lo", "k_weighted", "p0o0_bar",
-                         "gamma", "d_prop", "alpha")}
+                         "real_target", "gamma", "d_prop", "alpha")}
     inter.update({"tau": spectral.tau, "exact": exact, "kernel_mass": kernel_mass,
                   "error": abs(report.value - exact)})
     report.intermediate = inter

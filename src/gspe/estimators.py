@@ -11,6 +11,12 @@ applications are short compositions of them.
 Shot counting: one "shot" is an X run plus a Y run at the same time
 parameters.  Evolution time is accounted per shot as
 |j| tau for the one-time circuits and (|j| + |j'|) tau for two-time circuits.
+
+Schedules: a median-of-means stage is sized by a bound on one shot's second
+moment, 2 per unit weight for the complex value and 3/2 for its real part
+alone.  The overlap stage and the weighted stage of a Hermitian target read
+only the real part and take the 3/2 bound; a complex target keeps the 2.
+Certify reads only the real part too but is still sized at 2.
 """
 from __future__ import annotations
 
@@ -470,15 +476,32 @@ def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierAp
 
 def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
                     eta: float | None = None, two_time: bool = False,
-                    alpha: float | None = None, scale=1):
+                    alpha: float | None = None, scale=1, real: bool = False):
     """(n_g, k) of the overlap or the weighted stage at failure probability nu,
     for the target eta * epsilon/4 (eta = cfg.eta unless given).
-    One shot's second moment is at most 2 W^2 on a one-time table and
-    2 alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable),
-    times scale = sum |u|^2 over the terms of a weighted stage."""
+
+    One shot's second moment is at most b W^2 on a one-time table and
+    b alpha^2 W^4 on a two-time one (alpha = 1 for a unitary observable),
+    times scale = sum |u|^2 over the terms of a weighted stage: b = 2 bounds
+    E|z|^2, the real and imaginary parts together, and b = 3/2 bounds the
+    real part alone, for a stage that reads only its real part (``real``).
+
+    A shot's value is z e^{i psi} times W (or W^2 and a term's u, which
+    scale it by |u| and shift psi by arg u), psi the kernel phase of its
+    cell.  z = X + iY is an X run and a Y run drawn independently given the
+    cell, with E[X] + i E[Y] = e, the cell's table entry, so
+    Re(z e^{i psi}) = X cos psi - Y sin psi has
+    E[Re^2] = cos^2 psi E[X^2] + sin^2 psi E[Y^2] - sin 2psi E[X] E[Y].
+    A +-1 shot has E[X^2] = E[Y^2] = 1 and |Re e Im e| <= |e|^2/2 <= 1/2,
+    so E[Re^2] <= 3/2.  A block shot has E[X^2] = E[Y^2] = (alpha^2 + nsq)/2
+    <= alpha^2 and |Re e Im e| <= ||O||^2/2 <= alpha^2/2, so
+    E[Re^2] <= 3/2 alpha^2.  Both are reached: e = (1 - i)/sqrt 2 at
+    psi = pi/4 gives 1/2 + 1/2 + 1/2.
+    """
     w = approx.total_weight
-    bound = (2.0 * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
-             else 2.0 * w ** 2)
+    per_unit = 1.5 if real else 2.0
+    bound = (per_unit * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
+             else per_unit * w ** 2)
     return mom_schedule(scale * bound, cfg.eta if eta is None else eta,
                         cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
@@ -487,12 +510,14 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
                      nu: float | None = None, budget: EvolutionBudget | None = None,
                      table=None) -> float:
-    """The overlap stage: median-of-means estimate of p0 = C(x_good);
-    ``table`` as in :func:`estimate_gse` (:attr:`hadamard.OracleTables.overlap`)."""
+    """The overlap stage: median-of-means estimate of p0 = C(x_good), of
+    which only the real part is read, so it is scheduled at the real part's
+    bound; ``table`` as in :func:`estimate_gse`
+    (:attr:`hadamard.OracleTables.overlap`)."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
-    n_g, k = _stage_schedule(approx, cfg, nu)
+    n_g, k = _stage_schedule(approx, cfg, nu, real=True)
     budget = budget if budget is not None else EvolutionBudget()
     if table is None:
         table = expectation_table_1d(spectral, phi0, approx.d)
@@ -532,11 +557,26 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     post-selected circuit of a block encoding of norm alpha, drawn from its
     cell law, :func:`hadamard.block_law`) and two-time otherwise.  Each
     weighted table is dropped before the next one is built.
+
+    When the target sum u O is Hermitian (``real_target`` in the record),
+    the numerator <phi0| F(x - tau H) sum u O F(x - tau H) |phi0> is real,
+    as F is real on the real line (conjugate-symmetric coefficients), and
+    so is the one-time <phi0| sum u O F(x - tau H) |phi0> when O commutes
+    with H.  The estimate is then Re of the median over p0_bar, and the
+    weighted stage is scheduled at the real part's per-shot bound, 3/4 of
+    the complex one (:func:`_stage_schedule`), as the overlap stage always
+    is.  A block encoding is Hermitian by construction (:func:`hadamard.
+    embed_block`); other targets are decided by :func:`hadamard.hermitian_sum`.
+    Any target not found Hermitian keeps its imaginary part and the complex
+    bound.
     """
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
     kind = "block" if alpha is not None else "one-time" if one_time else "two-time"
+    observables = [hadamard.observable(op, spectral.dim) for op in observables]
+    real = alpha is not None or hadamard.hermitian_sum(observables,
+                                                       [u for u, _ in terms])
     stages = 3 if x_good is None else 2
     nu = cfg.nu / stages
     budget, inter = EvolutionBudget(), {"gamma": gamma}
@@ -559,14 +599,15 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
                               budget=budget, table=item.overlap)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
-    n_g, k = _stage_schedule(approx, cfg, nu)
+    n_g, k = _stage_schedule(approx, cfg, nu, real=True)
     inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
     p_lo = min(1.0, max(cfg.eta, p0_bar - 9.0 * cfg.eta * cfg.epsilon / 32.0))
     n_g, k = _stage_schedule(approx, cfg, nu, eta=p_lo, two_time=kind != "one-time",
-                             alpha=alpha, scale=sum(abs(u) ** 2 for u, _ in terms))
-    inter.update({"p_lo": p_lo, "k_weighted": k})
+                             alpha=alpha, scale=sum(abs(u) ** 2 for u, _ in terms),
+                             real=real)
+    inter.update({"p_lo": p_lo, "k_weighted": k, "real_target": real})
     values = None
     for u, index in terms:
         item = item or next(tables)
@@ -580,6 +621,8 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
         means = means if u == 1 else u * means  # u = 1: the means, bit for bit
         values = means if values is None else values + means
     num = median_of_means(values, n_g, 1)
+    if real:
+        num = complex(num.real)
     inter["p0o0_bar"] = num
     if alpha is not None:
         inter["alpha"] = alpha

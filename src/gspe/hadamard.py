@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (DimensionMismatchError, SpectralData, as_state, evolve,
-                       hermitian_eigh, overlaps)
+                       hermitian_eigh, overlaps, within_hermitian_tol)
 
 UNITARY_TOL = 1e-10
 
@@ -151,6 +151,37 @@ def require_unitary(op):
     if dev > UNITARY_TOL:
         raise NotUnitaryError(f"operator deviates from unitarity by {dev:.3e}")
     return op
+
+
+def hermitian_sum(observables, weights) -> bool:
+    """Whether M = sum_k weights[k] observables[k] (a list of
+    :class:`Observable`) passes :func:`spectral.within_hermitian_tol`,
+    decided without forming M where it can be.
+
+    Signed permutations sharing one column map c sum to the signed
+    permutation of values v = sum_k w_k v_k, and M^H has row r's one entry
+    conj(v[s]) at column s = c^-1(r).  So row r of M - M^H holds
+    v[r] - conj(v[s]) where c(r) = s, else v[r] and -conj(v[s]) apart, and
+    ||M - M^H||_F comes from v, c and c^-1 in O(dim).  One dense observable
+    is checked as w_0 O_0 itself; any other sum is reported not Hermitian.
+    """
+    first = observables[0]
+    if first.columns is not None and all(
+            obs.columns is not None and np.array_equal(obs.columns, first.columns)
+            for obs in observables[1:]):
+        columns = first.columns
+        values = sum(w * obs.values for w, obs in zip(weights, observables))
+        inverse = np.empty_like(columns)
+        inverse[columns] = np.arange(columns.size)
+        mirror = values.take(inverse).conj()
+        rows = np.where(columns == inverse, np.abs(values - mirror) ** 2,
+                        np.abs(values) ** 2 + np.abs(mirror) ** 2)
+        return within_hermitian_tol(math.sqrt(rows.sum()), np.linalg.norm(values))
+    if len(observables) == 1:
+        mat = first.matrix if weights[0] == 1 else weights[0] * first.matrix
+        return within_hermitian_tol(np.linalg.norm(mat - mat.conj().T),
+                                    np.linalg.norm(mat))
+    return False
 
 
 # --- exact moments: each formula once, over a vector of indices j (the tables

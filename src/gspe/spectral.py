@@ -80,12 +80,19 @@ class SpectralData:
 HERMITIAN_TOL = 1e-12  # ||A - A^H||_F relative to max(1, ||A||_F)
 
 
+def within_hermitian_tol(deviation: float, norm: float) -> bool:
+    """The package's one Hermiticity rule for a matrix A with
+    ``deviation`` = ||A - A^H||_F and ``norm`` = ||A||_F: False exactly when
+    the deviation exceeds HERMITIAN_TOL relative to max(1, norm)."""
+    return not deviation > HERMITIAN_TOL * max(1.0, norm)
+
+
 def hermitian_eigh(mat: np.ndarray, *, vectors: bool = True,
                    error: type[Exception] = ValueError,
                    message: str = "operator is not Hermitian"):
     """Ascending eigenvalues of the Hermitian ``mat`` and, with ``vectors``,
     its unitary eigenvector matrix V as complex128; ``error(message)`` when
-    ||mat - mat^H||_F exceeds HERMITIAN_TOL relative to max(1, ||mat||_F).
+    ``mat`` fails :func:`within_hermitian_tol`.
 
     Every eigensolve of the package goes through here.  A matrix whose
     imaginary part is exactly zero is real symmetric and is solved in real
@@ -96,7 +103,8 @@ def hermitian_eigh(mat: np.ndarray, *, vectors: bool = True,
     """
     if not mat.imag.any():
         mat = mat.real
-    if np.linalg.norm(mat - mat.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(mat)):
+    if not within_hermitian_tol(np.linalg.norm(mat - mat.conj().T),
+                                np.linalg.norm(mat)):
         raise error(message)
     if not vectors:
         return np.linalg.eigvalsh(mat)

@@ -46,3 +46,24 @@ def test_weighted_group_size_is_a_schedule_field():
     assert _verdict(parent, change) == ("schedule differs: "
                                         "intermediate.k_weighted 259473 -> "
                                         "183645; shots 5136090 -> 3618225")
+
+
+def test_numbers_are_paired_by_path_and_unpaired_paths_are_named():
+    """A field only one record has does not make the numeric difference
+    infinite: the numbers at shared paths are compared, and the extra paths
+    are listed apart, with the side that lacks them."""
+    parent = {"estimate": [0.5, 0.25], "shots": 100,
+              "intermediate": {"k_weighted": 10, "p0_bar": 0.8}}
+    change = {"estimate": [0.5, 0.0], "shots": 80,
+              "intermediate": {"k_weighted": 8, "p0_bar": 0.8,
+                               "real_target": True}}
+    args = _blob(parent), _blob(change), "record.json"
+    assert compare_records.largest_difference(*args) == 1.0
+    assert compare_records.unpaired_paths(*args) == [
+        "intermediate.real_target missing in parent"]
+    assert compare_records.unpaired_paths(*reversed(args[:2]), "record.json") == [
+        "intermediate.real_target missing in change"]
+    assert compare_records.largest_difference(_blob(parent), _blob(parent),
+                                              "record.json") == 0.0
+    assert compare_records.unpaired_paths(_blob(parent), _blob(parent),
+                                          "record.json") == []

@@ -340,7 +340,9 @@ def test_1rdm_stage_replays_public_draws(variant2q, rng, p, q):
     """A 1RDM entry's weighted value is the lower median over groups of
     sum_k u_k times the group means of Majorana product k, u_k = weight *
     phase / 4, each product drawn by the public pool from the weighted
-    stream of its position in the expansion; identity products add 1/4."""
+    stream of its position in the expansion; identity products add 1/4.
+    A diagonal entry's sum u_k O_k is Hermitian, so only its real part is
+    kept; an off-diagonal entry keeps both parts."""
     _, s = variant2q
     phi0 = mixed_with_noise(s.ground_state(),
                             rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
@@ -368,6 +370,9 @@ def test_1rdm_stage_replays_public_draws(variant2q, rng, p, q):
         values += weight * phase / 4.0 * batch_means(a, sums, x, k)
         products += 1
     want = median_of_means(values, n_g, 1)
+    assert inter["real_target"] == (p == q)
+    if p == q:
+        want = complex(want.real)
     assert abs(inter["p0o0_bar"] - want) <= 1e-12
     assert abs(report.value - (want / inter["p0_bar"] + identity)) <= 1e-12
     assert report.shots_used == (inter["n_s"] * inter["n_b"] + n_g * k
@@ -852,9 +857,12 @@ def test_pipelines_share_the_overlap_stage(variant2q, rng, pipeline):
                                       "rdm-diagonal", "qlss"])
 def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     """The weighted stage draws mom_schedule's shots at the per-shot bound of
-    its table: 2 W^2 one-time, 2 W^4 two-time, 2 alpha^2 W^4 block circuit;
-    a 1RDM entry's m products share one stage at (m/16) 2 W^4.  Its target
-    is p_lo * epsilon/4, p_lo the overlap floor the record reports."""
+    its table: b W^2 one-time, b W^4 two-time, b alpha^2 W^4 block circuit;
+    a 1RDM entry's m products share one stage at (m/16) b W^4.  b = 3/2
+    bounds the real part alone, read for a Hermitian target (every row here
+    but the off-diagonal 1RDM entry), b = 2 the complex value.  The overlap
+    stage reads only its real part, at 3/2 W^2.  The weighted target is
+    p_lo * epsilon/4, p_lo the overlap floor the record reports."""
     _, s = variant2q
     o_mat = build_operator([(1.0, "XI" if pipeline != "commutative" else "II")]
                            ).matrix()
@@ -864,14 +872,17 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
     if pipeline.startswith("rdm"):
         # m non-identity Majorana products, each term of weight 1/4, drawn k
         # shots each per group of one stage at nu/3; identity products are free
-        p, q, m = (0, 1, 4) if pipeline == "rdm" else (0, 0, 2)
+        p, q, m, b = (0, 1, 4, 2.0) if pipeline == "rdm" else (0, 0, 2, 1.5)
         report = estimate_1rdm_entry(s, phi0, p, q, cfg)
         inter = report.intermediate
-        n_g, k = mom_schedule((m / 16) * (2.0 * inter["total_weight_prop"] ** 4),
+        w = inter["total_weight_prop"]
+        n_o, k_o = mom_schedule(1.5 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
+                                cfg.nu / 3.0)
+        n_g, k = mom_schedule((m / 16) * (b * w ** 4),
                               inter["p_lo"], cfg.epsilon / 4.0, cfg.nu / 3.0)
         assert inter["k_weighted"] == k
-        assert report.shots_used == (inter["n_s"] * inter["n_b"]
-                                     + inter["n_g"] * inter["k_overlap"]
+        assert (inter["n_g"], inter["k_overlap"]) == (n_o, k_o)
+        assert report.shots_used == (inter["n_s"] * inter["n_b"] + n_o * k_o
                                      + m * n_g * k)
         return
     if pipeline == "qlss":
@@ -882,9 +893,9 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
         inter = report.intermediate
         w = build_fourier_approx(inter["tau"] * inter["gamma"] / 5.0,
                                  cfg.eta * (cfg.epsilon / 4.0) / 8.0).total_weight
-        n_o, k_o = mom_schedule(2.0 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
+        n_o, k_o = mom_schedule(1.5 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
                                 cfg.nu / 2.0)
-        n_g, k = mom_schedule(2.0 * 1.5 ** 2 * w ** 4, inter["p_lo"],
+        n_g, k = mom_schedule(1.5 * 1.5 ** 2 * w ** 4, inter["p_lo"],
                               cfg.epsilon / 4.0, cfg.nu / 2.0)
         assert inter["k_weighted"] == k
         assert report.shots_used == n_o * k_o + n_g * k
@@ -897,12 +908,13 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
         report = estimate_gsprop_block(s, phi0, embed_block(o_mat, 1.5), cfg)
     inter = report.intermediate
     w = inter["total_weight_prop"]
-    bound = {"commutative": 2.0 * w ** 2, "general": 2.0 * w ** 4,
-             "block": 2.0 * 1.5 ** 2 * w ** 4}[pipeline]
+    bound = {"commutative": 1.5 * w ** 2, "general": 1.5 * w ** 4,
+             "block": 1.5 * 1.5 ** 2 * w ** 4}[pipeline]
+    n_o, k_o = mom_schedule(1.5 * w ** 2, cfg.eta, cfg.epsilon / 4.0, cfg.nu / 3.0)
     n_g, k = mom_schedule(bound, inter["p_lo"], cfg.epsilon / 4.0, cfg.nu / 3.0)
     assert inter["k_weighted"] == k
-    assert report.shots_used == (inter["n_s"] * inter["n_b"]
-                                 + inter["n_g"] * inter["k_overlap"] + n_g * k)
+    assert (inter["n_g"], inter["k_overlap"]) == (n_o, k_o)
+    assert report.shots_used == (inter["n_s"] * inter["n_b"] + n_o * k_o + n_g * k)
 
 
 def _overlap_reading(monkeypatch, p0_bar):
@@ -924,7 +936,8 @@ def test_weighted_stage_is_sized_by_the_overlap_floor(variant2q, rng, monkeypatc
                                                       p0_bar, p_lo):
     """The weighted stage targets p_lo * epsilon/4 with p_lo = min(1, max(eta,
     p0_bar - 9 eta epsilon/32)) of the overlap estimate p0_bar; Certify and
-    the overlap stage keep the promised eta."""
+    the overlap stage keep the promised eta.  The overlap and the Hermitian
+    Pauli target read only their real parts, at 3/2 W^2 and 3/2 W^4."""
     _, s = variant2q
     o_mat = build_operator([(1.0, "XI")]).matrix()
     phi0 = mixed_with_noise(s.ground_state(),
@@ -938,10 +951,80 @@ def test_weighted_stage_is_sized_by_the_overlap_floor(variant2q, rng, monkeypatc
     w = build_fourier_approx(s.tau * s.gap / 5.0, 0.4 * 0.1 / 32.0).total_weight
     n_gse = math.prod(certify_schedule(inter["total_weight_gse"], 0.4, 0.1 / 3.0,
                                        s.tau * s.gap / 8.0))
-    n_o, k_o = mom_schedule(2.0 * w ** 2, 0.4, 0.1 / 4.0, 0.1 / 3.0)
-    n_g, k = mom_schedule(2.0 * w ** 4, p_lo, 0.1 / 4.0, 0.1 / 3.0)
+    n_o, k_o = mom_schedule(1.5 * w ** 2, 0.4, 0.1 / 4.0, 0.1 / 3.0)
+    n_g, k = mom_schedule(1.5 * w ** 4, p_lo, 0.1 / 4.0, 0.1 / 3.0)
     assert (inter["n_g"], inter["k_overlap"], inter["k_weighted"]) == (n_o, k_o, k)
     assert report.shots_used == n_gse + n_o * k_o + n_g * k
+
+
+def _reflection(rng):
+    """I - 2 v v^H for a random complex unit v: dense, Hermitian, unitary."""
+    v = random_state(rng, 4)
+    return np.eye(4) - 2.0 * np.outer(v, v.conj())
+
+
+# name -> (pipeline, observable or (p, q), whether sum u O is Hermitian)
+REAL_TARGET_CASES = {
+    "pauli-x": ("general", lambda rng: kron_word("XI"), True),
+    "i-z": ("general", lambda rng: 1j * kron_word("ZI"), False),
+    # the 4-cycle |r> -> |r + 1>: a real permutation that is not its inverse
+    "four-cycle": ("general", lambda rng: np.roll(np.eye(4), 1, axis=0), False),
+    "dense-hermitian": ("general", _reflection, True),
+    "dense-unitary": ("general", lambda rng: random_unitary(rng, 4), False),
+    "block": ("block", lambda rng: random_hermitian(rng, 4, norm=0.8), True),
+    "rdm-0-0": ("rdm", lambda rng: (0, 0), True),
+    "rdm-0-1": ("rdm", lambda rng: (0, 1), False),
+}
+
+
+@pytest.mark.parametrize("case", list(REAL_TARGET_CASES))
+def test_real_target_is_read_off_the_observables(variant2q, rng, case):
+    """estimate_ratio keeps only the real part, and reports real_target, when
+    sum u O is Hermitian: a Hermitian Pauli string or dense matrix, a block
+    encoding, a diagonal 1RDM entry's two products; iZ, a permutation that
+    is not an involution, a dense non-Hermitian unitary and an off-diagonal
+    1RDM entry keep both parts."""
+    _, s = variant2q
+    pipeline, build, real = REAL_TARGET_CASES[case]
+    o = build(rng)
+    phi0 = mixed_with_noise(s.ground_state(),
+                            rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=5,
+                           n_s=500, n_b=9, n_g=5, k=2000)
+    if pipeline == "rdm":
+        report = estimate_1rdm_entry(s, phi0, *o, cfg)
+    elif pipeline == "block":
+        report = estimate_gsprop_block(s, phi0, embed_block(o), cfg)
+    else:
+        report = estimate_gsprop_general(s, phi0, o, cfg)
+    assert report.intermediate["real_target"] is real
+    assert (report.value.imag == 0.0) is real
+    assert (report.intermediate["p0o0_bar"].imag == 0.0) is real
+
+
+def test_complex_target_keeps_its_imaginary_part_and_the_complex_bound(variant2q,
+                                                                        rng):
+    """O = e^{i pi/4} X is unitary, not Hermitian: its weighted stage is sized
+    at the complex bound 2 W^4, and the estimate, the median's both parts over
+    p0_bar, lands within epsilon of the complex <psi0|O|psi0>."""
+    _, s = variant2q
+    o_mat = np.exp(1j * math.pi / 4) * kron_word("XI")
+    psi0 = s.ground_state()
+    exact = complex(psi0.conj() @ o_mat @ psi0)
+    assert abs(exact.imag) > 0.2
+    phi0 = mixed_with_noise(psi0, rng.normal(size=4) + 1j * rng.normal(size=4), 0.5)
+    cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=37)
+    report = estimate_gsprop_general(s, phi0, o_mat, cfg)
+    inter = report.intermediate
+    assert inter["real_target"] is False
+    w = inter["total_weight_prop"]
+    n_g, k = mom_schedule(2.0 * w ** 4, inter["p_lo"], cfg.epsilon / 4.0,
+                          cfg.nu / 3.0)
+    assert inter["k_weighted"] == k
+    assert report.shots_used == (inter["n_s"] * inter["n_b"]
+                                 + inter["n_g"] * inter["k_overlap"] + n_g * k)
+    assert report.value == inter["p0o0_bar"] / inter["p0_bar"]
+    assert abs(report.value - exact) <= cfg.epsilon
 
 
 def test_pinned_k_pins_the_weighted_stage(variant2q, rng, monkeypatch):

@@ -612,6 +612,54 @@ def test_pm1_law_at_flat_cells_matches_circuit(rng):
                                [two["X"][0], two["Y"][0]], rtol=0.0, atol=1e-10)
 
 
+def _real_part_moments(law, values, psi):
+    """E[Re(z e^{i psi})^2] at every cell (rows) and phase (columns), from a
+    cell law whose X and Y take ``values`` [v+, v-, 0] with the column
+    pairs [P(X = v+), P(X != 0)] at 0, 1 and the same for Y at 2, 3; X and
+    Y are independent given the cell, so with Re = X cos psi - Y sin psi,
+    E[Re^2] = cos^2 E[X^2] + sin^2 E[Y^2] - sin 2psi E[X] E[Y]."""
+    plus, minus = values[0], values[1]
+    moments = []
+    for col in (0, 2):
+        p_plus, p_minus = law[:, col], law[:, col + 1] - law[:, col]
+        moments.append((p_plus * plus + p_minus * minus,
+                        p_plus * plus ** 2 + p_minus * minus ** 2))
+    (mean_x, second_x), (mean_y, second_y) = moments
+    c, s = np.cos(psi), np.sin(psi)
+    return (np.outer(second_x, c * c) + np.outer(second_y, s * s)
+            - np.outer(mean_x * mean_y, 2 * s * c))
+
+
+def test_real_part_second_moment_is_three_halves_of_the_bound(rng):
+    """The real part of a shot's value z e^{i psi} has second moment at most
+    3/2 per unit weight, 3/2 alpha^2 for the block circuit, at every phase:
+    read off pm1_law and block_law exactly on random tables, on unit
+    entries around the circle, and on the worst case e = (1 - i)/sqrt 2
+    (alpha times it, nsq = alpha^2, for the block circuit) at psi = pi/4,
+    where it is reached.  E|z|^2 = E[X^2] + E[Y^2] is 2 per unit weight."""
+    _, s, phi = _random_instance(rng, 2)
+    psi = np.linspace(0.0, 2.0 * math.pi, 721)  # psi[90] = pi/4
+    worst = (1.0 - 1j) / math.sqrt(2.0)
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 97))
+    table = expectation_table_2d(s, phi, random_unitary(rng, 4), 3).reshape(-1)
+    pm1 = pm1_law(np.concatenate((table, circle, [worst])))
+    # the +-1 law as [P(+1), P(!= 0) = 1] columns for X and for Y
+    ones = np.ones(pm1.shape[0])
+    moments = _real_part_moments(np.stack((pm1[:, 0], ones, pm1[:, 1], ones),
+                                          axis=1), [1.0, -1.0], psi)
+    assert moments.max() <= 1.5 + 1e-12
+    assert abs(moments[-1, 90] - 1.5) <= 1e-12
+    assert np.abs(moments[:, 0] + moments[:, 180] - 2.0).max() <= 1e-12  # psi = 0, pi/2
+
+    alpha, d = 1.2, 3
+    o = random_hermitian(rng, 4, norm=0.9)
+    for table, nsq in ((expectation_table_2d(s, phi, o, d), block_norm_table(s, phi, o, d)),
+                       (alpha * np.array([[worst]]), np.array([alpha ** 2]))):
+        moments = _real_part_moments(block_law(table, nsq, alpha), [alpha, -alpha], psi)
+        assert moments.max() <= 1.5 * alpha ** 2 * (1 + 1e-12)
+    assert abs(moments[0, 90] - 1.5 * alpha ** 2) <= 1e-12
+
+
 def test_block_success_frequency(rng):
     h, s, phi = _random_instance(rng, 2)
     o = random_hermitian(rng, 4, norm=0.9)

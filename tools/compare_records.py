@@ -11,8 +11,9 @@ at GSPE_SEED 3 (as the benchmark runs it), and small general,
 block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
 alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
 built below.  For every output file it prints ``identical``, or the largest
-relative difference between corresponding numbers, the path of the first
-field that differs, and whether ``shots`` and every schedule integer
+relative difference between the numbers at paths both outputs have, the
+path of the first field that differs, each path only one output has,
+and whether ``shots`` and every schedule integer
 (``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``,
 ``k_weighted``) still match,
 so a change of the random stream can show that only estimates and evolution
@@ -150,13 +151,15 @@ def _leaf(cell: str):
 
 
 def largest_difference(a: bytes, b: bytes, name: str) -> float:
-    """Largest |x - y| / max(|x|, |y|) over corresponding numbers; inf when
-    the structure or a non-number differs."""
-    left, right = _leaves(a, name), _leaves(b, name)
-    if [path for path, _ in left] != [path for path, _ in right]:
-        return math.inf
+    """Largest |x - y| / max(|x|, |y|) over the numbers at the paths both
+    outputs have, the leaves paired by path; inf when a non-number at such a
+    path differs.  Paths only one side has are :func:`unpaired_paths`."""
+    right = dict(_leaves(b, name))
     worst = 0.0
-    for (_, x), (_, y) in zip(left, right):
+    for path, x in _leaves(a, name):
+        if path not in right:
+            continue
+        y = right[path]
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in (x, y))
         if not numeric:
@@ -165,6 +168,14 @@ def largest_difference(a: bytes, b: bytes, name: str) -> float:
         elif x != y:
             worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return worst
+
+
+def unpaired_paths(a: bytes, b: bytes, name: str) -> list:
+    """Each leaf path only one output has, named with the side that lacks
+    it: the parent's in document order, then those only the change has."""
+    before, after = (dict(_leaves(blob, name)) for blob in (a, b))
+    return ([f"{path} missing in change" for path in before if path not in after]
+            + [f"{path} missing in parent" for path in after if path not in before])
 
 
 def first_difference(a: bytes, b: bytes, name: str) -> str | None:
@@ -213,9 +224,11 @@ def main(argv=None) -> int:
             else:
                 all_identical = False
                 args = before[output], after[output], output
+                unpaired = unpaired_paths(*args)
                 verdict = (f"differs, largest relative difference "
                            f"{largest_difference(*args):.3e}, first at "
-                           f"{first_difference(*args)}; {schedule_verdict(*args)}")
+                           f"{first_difference(*args)}; {schedule_verdict(*args)}"
+                           + (f"; unpaired: {', '.join(unpaired)}" if unpaired else ""))
             print(f"{name:18s} {output:28s} {verdict}", flush=True)
     return 0 if all_identical else 1
 

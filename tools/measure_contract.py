@@ -18,7 +18,12 @@ Instances:
   block-alpha1  the acceptance suite's block-encoded instance (criterion 6)
                 at alpha = 1 (eps 0.05, eta 0.4, nu 0.1)
   rdm-0-1       1RDM entry (0, 1) of a two-mode hopping model (eps 0.05,
-                eta 0.5, nu 0.1)
+                eta 0.5, nu 0.1): a complex target of four products
+  rdm-0-0       1RDM entry (0, 0) of the same model: a real target of two
+                products
+  phase-x       the non-Hermitian unitary e^{i pi/4} X on the first qubit
+                of criterion 6's 2-qubit Hamiltonian, general pipeline (eps
+                0.1, eta 0.4, nu 0.1): a complex target
 
 ``--src`` names the source tree to import gspe from (default: this
 checkout's ``src``), so two trees can be measured by the same script.
@@ -122,7 +127,7 @@ def _block():
     return 0.1, 0.05, estimate
 
 
-def _rdm():
+def _rdm(p: int, q: int):
     import numpy as np
     from gspe import applications, estimators, pauli, spectral
     s = spectral.diagonalize(pauli.build_operator(
@@ -130,18 +135,39 @@ def _rdm():
     rng = np.random.default_rng(0)
     phi0 = spectral.mixed_with_noise(s.ground_state(),
                                      rng.normal(size=4) + 1j * rng.normal(size=4), 0.6)
-    exact = applications.exact_1rdm_entry(s, 0, 1, 2)
+    exact = applications.exact_1rdm_entry(s, p, q, 2)
 
     def estimate(seed):
         cfg = estimators.EstimationConfig(epsilon=0.05, eta=0.5, nu=0.1, seed=seed)
-        report = applications.estimate_1rdm_entry(s, phi0, 0, 1, cfg)
+        report = applications.estimate_1rdm_entry(s, phi0, p, q, cfg)
         return report.value, exact, report.shots_used
 
     return 0.1, 0.05, estimate
 
 
+def _phase_x():
+    import numpy as np
+    from gspe import estimators, pauli, spectral
+    s = spectral.diagonalize(pauli.build_operator([(1.0, "ZZ"), (0.4, "XI"),
+                                                   (0.2, "ZI")]))
+    o_mat = np.exp(0.25j * math.pi) * pauli.build_operator([(1.0, "XI")]).matrix()
+    psi0 = s.ground_state()
+    exact = complex(psi0.conj() @ o_mat @ psi0)
+    rng = np.random.default_rng(707)
+    phi0 = spectral.mixed_with_noise(psi0, rng.normal(size=4) + 1j * rng.normal(size=4),
+                                     0.5)
+
+    def estimate(seed):
+        cfg = estimators.EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=seed)
+        report = estimators.estimate_gsprop_general(s, phi0, o_mat, cfg)
+        return report.value, exact, report.shots_used
+
+    return 0.1, 0.1, estimate
+
+
 INSTANCES = {"ensemble-10q": _tfim10, "qlss-kappa4": _qlss,
-             "block-alpha1": _block, "rdm-0-1": _rdm}
+             "block-alpha1": _block, "rdm-0-1": lambda: _rdm(0, 1),
+             "rdm-0-0": lambda: _rdm(0, 0), "phase-x": _phase_x}
 
 
 def measure(name: str, seeds: int) -> dict:
