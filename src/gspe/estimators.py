@@ -250,11 +250,12 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
 
 def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
                group_size: int, rng, budget: EvolutionBudget, tau: float, *,
-               lead=None, law=None, alpha=None) -> np.ndarray:
+               lead=None, norms=None, alpha=1.0) -> np.ndarray:
     """Draw n_groups * group_size shots on ``table`` and return their sums
-    S[g, j + d] over group g and last index j; block-circuit shots from the
-    cell law of ``table`` (:func:`hadamard.block_law`) when ``law`` and
-    ``alpha`` are given, +-1 shots from :func:`hadamard.pm1_law` otherwise.
+    S[g, j + d] over group g and last index j.  Every shot comes from the
+    cell law :func:`hadamard.outcome_law` of ``(table, norms, alpha)``:
+    +-1 shots of a unitary observable without ``norms``, shots of the
+    post-selected block circuit of norm alpha with them.
 
     The last index is J of a one-time table and J' of a two-time one, whose
     shots also draw J and are multiplied by lead[J + d].  Shots in a group
@@ -269,8 +270,7 @@ def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
     d = approx.d
     width = 2 * d + 1
     two_time = table.ndim == 2
-    if law is None:
-        law = hadamard.pm1_law(table)
+    law = hadamard.outcome_law(table, norms, alpha)
     steps = np.abs(approx.js)
     sums = np.zeros((n_groups, width), dtype=complex)
     for group in sums:
@@ -289,10 +289,7 @@ def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
                 budget.add_times((steps.take(first) + steps.take(cells)) * tau)
                 cells *= width
                 cells += first
-            if alpha is None:
-                zs = hadamard.draw_xy_pm1(law, cells, rng)
-            else:
-                zs = hadamard.draw_block_xy(law, cells, alpha, rng)
+            zs = hadamard.draw_block_xy(law, cells, alpha, rng)
             if two_time:
                 zs *= lead.take(first)
             group[last] += np.add.reduceat(zs, runs)
@@ -450,16 +447,16 @@ def good_point(x_star: float, tau: float, gamma: float, *,
 
 def group_means(approx: FourierApprox, table: np.ndarray, x_good: float,
                 n_g: int, k: int, rng, budget: EvolutionBudget, tau: float, *,
-                law=None, alpha=None) -> np.ndarray:
+                norms=None, alpha=1.0) -> np.ndarray:
     """Means at x_good of n_g groups of k fresh shots, each an estimate of
     sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
-    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots from the
-    cell law of E when ``law`` and ``alpha`` are given)."""
+    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots with
+    ``norms``, as in :func:`_pool_sums`)."""
     lead = None
     if table.ndim == 2:
         lead = approx.total_weight * approx.kernel(x_good)
     sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
-                      law=law, alpha=alpha)
+                      norms=norms, alpha=alpha)
     return batch_means(approx, sums, x_good, k)
 
 
@@ -476,7 +473,7 @@ def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierAp
 
 def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
                     eta: float | None = None, two_time: bool = False,
-                    alpha: float | None = None, scale=1, real: bool = False):
+                    alpha: float = 1.0, scale=1, real: bool = False):
     """(n_g, k) of the overlap or the weighted stage at failure probability nu,
     for the target eta * epsilon/4 (eta = cfg.eta unless given).
 
@@ -500,8 +497,7 @@ def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
     """
     w = approx.total_weight
     per_unit = 1.5 if real else 2.0
-    bound = (per_unit * (1.0 if alpha is None else alpha) ** 2 * w ** 4 if two_time
-             else per_unit * w ** 2)
+    bound = per_unit * alpha ** 2 * w ** 4 if two_time else per_unit * w ** 2
     return mom_schedule(scale * bound, cfg.eta if eta is None else eta,
                         cfg.epsilon / 4.0, nu, cfg.n_g, cfg.k)
 
@@ -554,9 +550,11 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     (the term's group mean), on one schedule at sum |u|^2 times one table's
     per-shot bound.  The tables (:func:`hadamard.oracle_tables`) are
     one-time with ``one_time``, block with ``alpha`` (shots of the
-    post-selected circuit of a block encoding of norm alpha, drawn from its
-    cell law, :func:`hadamard.block_law`) and two-time otherwise.  Each
-    weighted table is dropped before the next one is built.
+    post-selected circuit of a block encoding of norm alpha) and two-time
+    otherwise; every stage draws from the cell law of its table
+    (:func:`hadamard.outcome_law`, read with the block norms and alpha by
+    the block kind's weighted stage).  Each weighted table is dropped before
+    the next one is built.
 
     When the target sum u O is Hermitian (``real_target`` in the record),
     the numerator <phi0| F(x - tau H) sum u O F(x - tau H) |phi0> is real,
@@ -573,10 +571,11 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
     if gamma <= 0.0:
         raise PreconditionError("pipelines need a positive spectral gap")
-    kind = "block" if alpha is not None else "one-time" if one_time else "two-time"
+    block = alpha is not None
+    kind = "block" if block else "one-time" if one_time else "two-time"
+    alpha = alpha if block else 1.0
     observables = [hadamard.observable(op, spectral.dim) for op in observables]
-    real = alpha is not None or hadamard.hermitian_sum(observables,
-                                                       [u for u, _ in terms])
+    real = block or hadamard.hermitian_sum(observables, [u for u, _ in terms])
     stages = 3 if x_good is None else 2
     nu = cfg.nu / stages
     budget, inter = EvolutionBudget(), {"gamma": gamma}
@@ -611,20 +610,19 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     values = None
     for u, index in terms:
         item = item or next(tables)
-        table = item.weighted
-        law = None if alpha is None else hadamard.block_law(table, item.norms, alpha)
+        table, norms = item.weighted, item.norms
         item = None
         means = group_means(approx, table, x_good, n_g, k,
                             stage_rng(cfg.seed, "weighted", index=index),
-                            budget, spectral.tau, law=law, alpha=alpha)
-        del table, law
+                            budget, spectral.tau, norms=norms, alpha=alpha)
+        del table, norms
         means = means if u == 1 else u * means  # u = 1: the means, bit for bit
         values = means if values is None else values + means
     num = median_of_means(values, n_g, 1)
     if real:
         num = complex(num.real)
     inter["p0o0_bar"] = num
-    if alpha is not None:
+    if block:
         inter["alpha"] = alpha
     return EstimateReport(value=num / p0_bar, budget=budget, intermediate=inter)
 

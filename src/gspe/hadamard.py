@@ -4,7 +4,8 @@ The literal circuits (``outcome_distribution_*``, ``block_circuit_distribution``
 ``generalized_circuit_distribution``) build the pre-measurement state
 register by register and return its exact measurement distribution.  The
 exact-moment tables built here give the same laws for every time index at
-once, and the vectorized ``draw_*`` helpers draw shots from them; the
+once, :func:`outcome_law` turns a table into per-cell outcome thresholds, and
+the one vectorized draw, :func:`draw_block_xy`, draws shots from them; the
 single-index targets evaluate the same moment code, and the test suite pins
 tables and draws against the literal circuits.
 
@@ -598,74 +599,62 @@ def sample_blocks(size: int):
         yield slice(lo, hi)
 
 
-def pm1_law(table: np.ndarray) -> np.ndarray:
-    """Outcome law of the +-1 Hadamard test on every cell of ``table``, for
-    :func:`draw_xy_pm1`.
+def outcome_law(table: np.ndarray, nsq: np.ndarray | None = None,
+                alpha: float = 1.0) -> np.ndarray:
+    """Outcome law of the Hadamard test on every cell of ``table``, for
+    :func:`draw_block_xy`.
 
-    Row c holds [P(X = +1), P(Y = +1)] = [clip((1 + Re e) / 2, 0, 1),
-    clip((1 + Im e) / 2, 0, 1)] for the entry e at flat cell c: j + d of a
-    one-time table, (j' + d)(2d + 1) + (j + d) of a two-time one (J' major,
-    as in :func:`block_law`).
+    Row c is the law at flat cell c: j + d of a one-time table,
+    (j' + d)(2d + 1) + (j + d) of a two-time one, so J' is the major axis.
+    For the entry e at the cell, P(X = +alpha) = clip((p_succ + Re e /
+    alpha) / 2, 0, 1), likewise P(X = -alpha) with - Re e, and Y reads
+    Im e.  Without ``nsq`` no shot fails, p_succ = 1, and the row holds
+    [P(X = +alpha), P(Y = +alpha)]: at alpha = 1 the +-1 test of a unitary
+    observable.  With ``nsq`` (the post-selected block circuit on a
+    two-time table) p_succ = (1 + nsq[j' + d] / alpha^2) / 2 depends on the
+    first evolution j' alone, and the row holds [P(X = +alpha),
+    P(Y = +alpha), P(X != 0), P(Y != 0)], P(!= 0) the sum of P(+) and P(-).
+    At alpha = 1 and nsq = 1 its first two columns are the +-1 law, bit
+    for bit.
     """
     cells = table.T  # J' major; a one-time table stays as it is
-    law = np.empty(cells.shape + (2,))
+    p_succ = 1.0 if nsq is None else 0.5 * (1.0 + nsq[:, None] / alpha ** 2)
+    width = 2 if nsq is None else 4
+    law = np.empty(cells.shape + (width,))
     for col, part in ((0, cells.real), (1, cells.imag)):
-        law[..., col] = np.clip(0.5 * (1.0 + part), 0.0, 1.0)
-    return law.reshape(-1, 2)
-
-
-def draw_xy_pm1(law: np.ndarray, cells: np.ndarray, rng) -> np.ndarray:
-    """Vector of z = X + iY draws of the +-1 Hadamard test, one per flat
-    cell in ``cells``, from the cell law of :func:`pm1_law`.
-
-    A uniform u gives +1 below the cell's P(= +1) and -1 at or above it.
-    Every X is drawn before any Y.
-    """
-    rows = np.take(law, cells, axis=0)  # law[cells]; take gathers rows faster
-    z = np.empty(rows.shape)
-    np.less(rng.random((2, rows.shape[0])).T, rows, out=z)
-    z *= 2.0
-    z -= 1.0
-    return z.view(complex).reshape(-1)
-
-
-def block_law(table: np.ndarray, nsq: np.ndarray, alpha: float) -> np.ndarray:
-    """Outcome law of the post-selected block circuit on every cell of the
-    two-time table, for :func:`draw_block_xy`.
-
-    Row (j' + d)(2d + 1) + (j + d), the cell's flat index with J' as the
-    major axis (:func:`pm1_law`), holds [P(X = +alpha), P(X != 0),
-    P(Y = +alpha), P(Y != 0)].  With p_succ = (1 + nsq[j' + d] / alpha^2) / 2,
-    which depends on the first evolution j' alone, and
-    e = table[j + d, j' + d]: P(X = +alpha) = clip((p_succ + Re e / alpha) / 2,
-    0, 1), likewise P(X = -alpha) with - Re e, and P(X != 0) is their sum;
-    Y reads Im e.
-    """
-    cells = table.T  # J' major
-    p_succ = 0.5 * (1.0 + nsq[:, None] / alpha ** 2)
-    law = np.empty(cells.shape + (4,))
-    for col, part in ((0, cells.real), (2, cells.imag)):
-        plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
-        minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
-        law[..., col] = plus
-        law[..., col + 1] = plus + minus
-    return law.reshape(-1, 4)
+        part = part if alpha == 1.0 else part / alpha  # x / 1 is x: skip the pass
+        law[..., col] = plus = np.clip(0.5 * (p_succ + part), 0.0, 1.0)
+        if nsq is not None:
+            law[..., col + 2] = plus + np.clip(0.5 * (p_succ - part), 0.0, 1.0)
+    return law.reshape(-1, width)
 
 
 def draw_block_xy(law: np.ndarray, cells: np.ndarray, alpha: float,
                   rng) -> np.ndarray:
-    """Vector of z = X + iY draws for the post-selected block circuit, one
-    per flat cell in ``cells``, from the cell law of :func:`block_law`.
+    """Vector of z = X + iY draws of the Hadamard test, one per flat cell in
+    ``cells``, from the cell law of :func:`outcome_law`.
 
-    A uniform u gives +alpha below P(= +alpha), -alpha below P(!= 0) and 0
-    above it: the count of thresholds u clears indexes [alpha, -alpha, 0].
-    Every X is drawn before any Y.
+    A uniform u gives alpha (2 [u < P(= +alpha)] - [u < P(!= 0)]): +alpha
+    below P(= +alpha), -alpha below P(!= 0) and 0 above it.  A two-column
+    law has no zero outcome, P(!= 0) = 1, so its shots are +-alpha.  Every
+    X is drawn before any Y.
     """
     rows = np.take(law, cells, axis=0)  # law[cells]; take gathers rows faster
-    values = np.array([alpha, -alpha, 0.0])
-    z = np.empty(rows.shape[0], dtype=complex)
-    for out, col in ((z.real, 0), (z.imag, 2)):
+    xy = np.empty((rows.shape[0], 2))
+    for col in (0, 1):  # every X, then every Y
         u = rng.random(rows.shape[0])
-        out[...] = values.take((u >= rows[:, col]).view(np.uint8)
-                               + (u >= rows[:, col + 1]).view(np.uint8))
-    return z
+        plus = np.less(u, rows[:, col]).view(np.int8)
+        value = plus + plus  # 2 plus - nonzero in {-1, 0, 1}: plus implies nonzero
+        value -= np.less(u, rows[:, col + 2]).view(np.int8) if law.shape[1] == 4 else 1
+        xy[:, col] = value
+    if alpha != 1.0:
+        xy *= alpha
+    return xy.view(complex).reshape(-1)
+
+
+def draw_xy_pm1(law: np.ndarray, cells: np.ndarray, rng) -> np.ndarray:
+    """:func:`draw_block_xy` at alpha = 1.  No pipeline calls it; it is kept
+    as a separate function only because ``perfbench/layers.py`` wraps it by
+    name (an alias of :func:`draw_block_xy` would be wrapped twice there and
+    count every outcome twice)."""
+    return draw_block_xy(law, cells, 1.0, rng)

@@ -1,6 +1,7 @@
 """tools/compare_records.py: how two records' schedule fields are compared."""
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_records.py"
@@ -67,3 +68,18 @@ def test_numbers_are_paired_by_path_and_unpaired_paths_are_named():
                                               "record.json") == 0.0
     assert compare_records.unpaired_paths(_blob(parent), _blob(parent),
                                           "record.json") == []
+
+
+def test_absolute_difference_shows_a_number_that_became_zero():
+    """A number that became exactly 0 reads 1 relative however small it was;
+    the absolute difference beside it gives its size, and a differing
+    non-number reads inf on both scales."""
+    parent = {"estimate": [0.5, 3e-9], "value": 2.0}
+    change = {"estimate": [0.5, 0.0], "value": 2.0 + 1e-12}
+    args = _blob(parent), _blob(change), "record.json"
+    assert compare_records.largest_difference(*args) == 1.0
+    assert compare_records.largest_difference(*args, absolute=True) == 3e-9
+    same = _blob(parent), _blob(parent), "record.json"
+    assert compare_records.largest_difference(*same, absolute=True) == 0.0
+    text = _blob({"mode": "a"}), _blob({"mode": "b"}), "record.json"
+    assert compare_records.largest_difference(*text, absolute=True) == math.inf

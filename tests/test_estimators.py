@@ -21,9 +21,8 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              mom_schedule, sample_J, sample_j_batch,
                              sample_j_counts, group_means)
 from gspe.fourier import FourierApprox, build_fourier_approx
-from gspe.hadamard import (SAMPLE_BLOCK, block_law, draw_block_xy, draw_xy_pm1,
-                           observable, outcome_distribution_1d, pm1_law,
-                           sample_blocks)
+from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, observable,
+                           outcome_distribution_1d, outcome_law, sample_blocks)
 from gspe.seeding import stage_rng
 from gspe.spectral import DimensionMismatchError, mixed_with_noise, overlaps
 
@@ -161,7 +160,7 @@ def test_g_estimator_empirical_variance(small_approx):
     n = 10 ** 5
     js = sample_j_batch(a, n, rng)
     e_table = expectation_table_1d(spectral, phi0, a.d)
-    zs = draw_xy_pm1(pm1_law(e_table), js + a.d, rng)
+    zs = draw_block_xy(outcome_law(e_table), js + a.d, 1.0, rng)
     values = g_estimator(a, 0.1, js, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 2
@@ -236,20 +235,21 @@ def test_g2_empirical_variance(small_approx):
     j1 = sample_j_batch(a, n, rng)
     j2 = sample_j_batch(a, n, rng)
     table = expectation_table_2d(spectral, phi0, o_mat, a.d)
-    zs = draw_xy_pm1(pm1_law(table), (j2 + a.d) * (2 * a.d + 1) + j1 + a.d, rng)
+    zs = draw_block_xy(outcome_law(table), (j2 + a.d) * (2 * a.d + 1) + j1 + a.d,
+                       1.0, rng)
     values = g2_estimator(a, 0.2, 0.2, j1, j2, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 4
 
 
-def _replay_pool(approx, table, n_groups, group_size, rng, law=None, alpha=None):
+def _replay_pool(approx, table, n_groups, group_size, rng, norms=None, alpha=1.0):
     """Per-shot arrays (J, [J',] Z) of a pool drawn as the pipelines draw it,
     with the public samplers: per group, the last-index counts
     (``rng.multinomial``) laid out in cell order; then per chunk of the group,
     J for a two-time table, then all X, then all Y, from the cell law at flat
     cell j + d or (j' + d)(2d + 1) + (j + d)."""
     d = approx.d
-    law = pm1_law(table) if law is None else law
+    law = outcome_law(table, norms, alpha)
     probs = approx.abs_coefficients / approx.total_weight
     parts = []
     for _ in range(n_groups):
@@ -259,27 +259,25 @@ def _replay_pool(approx, table, n_groups, group_size, rng, law=None, alpha=None)
             if table.ndim == 2:
                 index.insert(0, sample_j_batch(approx, cells.size, rng))
                 cells = cells * (2 * d + 1) + index[0] + d
-            zs = (draw_xy_pm1(law, cells, rng) if alpha is None
-                  else draw_block_xy(law, cells, alpha, rng))
+            zs = draw_block_xy(law, cells, alpha, rng)
             parts.append((*index, zs))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _per_shot_pool(approx, table, n_groups, group_size, rng, law=None, alpha=None):
+def _per_shot_pool(approx, table, n_groups, group_size, rng, norms=None, alpha=1.0):
     """The reference pool the count path must match in law: every shot draws
     J (and J') by :func:`sample_j_batch` and then X + iY, one shot after
     another; returns the sums S[g, j + d] over group g and last index j of
     the values z, times lead[J + d] = W e^{i(theta_J + J x)} at x = 0.3 for
     a two-time table."""
     d = approx.d
-    law = pm1_law(table) if law is None else law
+    law = outcome_law(table, norms, alpha)
     n = n_groups * group_size
     index = [sample_j_batch(approx, n, rng) for _ in range(table.ndim)]
     cells = index[-1] + d
     if table.ndim == 2:
         cells = cells * (2 * d + 1) + index[0] + d
-    zs = (draw_xy_pm1(law, cells, rng) if alpha is None
-          else draw_block_xy(law, cells, alpha, rng))
+    zs = draw_block_xy(law, cells, alpha, rng)
     if table.ndim == 2:
         zs *= approx.total_weight * approx.kernel(0.3)[index[0] + d]
     flat = np.arange(n) // group_size * (2 * d + 1) + index[-1] + d
@@ -289,7 +287,7 @@ def _per_shot_pool(approx, table, n_groups, group_size, rng, law=None, alpha=Non
 
 
 def _pool_case(kind, d):
-    """(spectral, table, law, alpha, second) of a small pool of ``kind``;
+    """(spectral, table, norms, alpha, second) of a small pool of ``kind``;
     second[j' + d] is E[X^2] = E[Y^2] of a shot at first evolution j': 1 for
     +-1 shots, alpha^2 p_succ(j') for the block circuit.  The two-time
     tables are not symmetric, so swapping J and J' or the law's major axis
@@ -299,17 +297,17 @@ def _pool_case(kind, d):
     gen = np.random.default_rng(3)
     second = np.ones(2 * d + 1)
     if kind == "one-time":
-        return spectral, expectation_table_1d(spectral, phi0, d), None, None, second
+        return spectral, expectation_table_1d(spectral, phi0, d), None, 1.0, second
     if kind == "two-time":
         table = expectation_table_2d(spectral, phi0,
                                      random_unitary(gen, spectral.dim), d)
-        return spectral, table, None, None, second
+        return spectral, table, None, 1.0, second
     o_mat = random_hermitian(gen, spectral.dim, norm=0.9)
     table = expectation_table_2d(spectral, phi0, o_mat, d)
     alpha = 1.2
     nsq = block_norm_table(spectral, phi0, o_mat, d)
     second = 0.5 * (alpha ** 2 + nsq)  # alpha^2 p_succ
-    return spectral, table, block_law(table, nsq, alpha), alpha, second
+    return spectral, table, nsq, alpha, second
 
 
 @pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
@@ -318,17 +316,17 @@ def test_weighted_stage_replays_public_draws(small_approx, kind):
     group mean and the budget equal the per-shot formulas on the same
     draws, with groups of several sampling chunks."""
     a, d, x = small_approx, small_approx.d, 0.3
-    spectral, table, law, alpha, _ = _pool_case(kind, d)
+    spectral, table, norms, alpha, _ = _pool_case(kind, d)
     tau = spectral.tau
     n_g, k = 3, 2 * SAMPLE_BLOCK + 7
     *index, zs = _replay_pool(a, table, n_g, k, np.random.default_rng(41),
-                              law, alpha)
+                              norms, alpha)
     phase = a.total_weight * np.exp(1j * (a.phases + a.js * x))
     values = zs * np.prod([phase[js + d] for js in index], axis=0)
     times = sum(np.abs(js) for js in index) * tau
     budget = EvolutionBudget()
     got = group_means(a, table, x, n_g, k, np.random.default_rng(41), budget, tau,
-                      law=law, alpha=alpha)
+                      norms=norms, alpha=alpha)
     assert np.abs(got - values.reshape(n_g, k).mean(axis=1)).max() <= 1e-12
     assert budget.shots == n_g * k
     assert budget.max_time == float(times.max())
@@ -428,12 +426,12 @@ def test_pool_sums_have_the_exact_mean(kind):
     computed from the tables, within 5 standard errors, and the standardized
     residuals of all cells pass a chi-square test."""
     a = build_fourier_approx(0.4, 0.05)
-    spectral, table, law, alpha, second = _pool_case(kind, a.d)
+    spectral, table, norms, alpha, second = _pool_case(kind, a.d)
     n_g, k = 400, 500
     lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
     sums = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(8),
                                  EvolutionBudget(), spectral.tau, lead=lead,
-                                 law=law, alpha=alpha)
+                                 norms=norms, alpha=alpha)
     mean, var_re, var_im = _exact_sum_moments(a, table, second, k)
     keep = a.abs_coefficients / a.total_weight * k * n_g >= 100
     resid = np.concatenate([
@@ -449,14 +447,14 @@ def test_pool_sums_match_per_shot_pool_in_law(kind):
     pool (:func:`_per_shot_pool`) pass two-sample KS tests, real and
     imaginary parts, as do the sums of the three most likely cells."""
     a = build_fourier_approx(0.4, 0.05)
-    spectral, table, law, alpha, _ = _pool_case(kind, a.d)
+    spectral, table, norms, alpha, _ = _pool_case(kind, a.d)
     n_g, k = 300, 400
     lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
     counted = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(9),
                                     EvolutionBudget(), spectral.tau, lead=lead,
-                                    law=law, alpha=alpha)
+                                    norms=norms, alpha=alpha)
     per_shot = _per_shot_pool(a, table, n_g, k, np.random.default_rng(10),
-                              law, alpha)
+                              norms, alpha)
     top = np.argsort(a.abs_coefficients)[-3:]
     columns = [lambda s: batch_means(a, s, -0.2, k)] + [
         (lambda s, c=c: s[:, c]) for c in top]
@@ -505,7 +503,7 @@ def _pool(approx, spectral, phi0, n, seed):
     rng = np.random.default_rng(seed)
     js = sample_j_batch(approx, n, rng)
     e_table = expectation_table_1d(spectral, phi0, approx.d)
-    return js, draw_xy_pm1(pm1_law(e_table), js + approx.d, rng)
+    return js, draw_block_xy(outcome_law(e_table), js + approx.d, 1.0, rng)
 
 
 def test_certify_two_sides():
@@ -1085,19 +1083,28 @@ def test_epsilon_range_is_checked_by_each_stage(variant2q, monkeypatch):
 
 def test_property_pipeline_is_invariant_to_scaling_h(rng):
     """GSE runs at accuracy gamma/8 in the units of H, so a gap of 8 or more
-    is no error and scaling H leaves the estimate and its shots unchanged:
-    every Fourier parameter is a product with tau, which scales inversely."""
+    is no error and scaling H leaves the estimate, its shots and its schedule
+    unchanged, bit for bit: every Fourier parameter is a product with tau,
+    which scales inversely.  This holds for the general pipeline, the block
+    circuit at alpha = 1.5 (its four-column outcome law) and a 1RDM entry
+    (a weighted stage of several terms)."""
     instances = [diagonalize(build_operator([(scale * c, w) for c, w in TFIM3_TERMS]))
                  for scale in (1.0, 50.0, 1000.0)]
     assert instances[1].gap > 8.0
     phi0 = mixed_with_noise(instances[0].ground_state(), random_state(rng, 8), 0.5)
     cfg = EstimationConfig(epsilon=0.05, eta=0.4, nu=0.1, seed=3)
-    runs = []
-    for s in instances:
-        report = estimate_gsprop_general(s, phi0, kron_word("XXX"), cfg)
-        runs.append((report.value, report.shots_used,
-                     report.intermediate["d_gse"], report.intermediate["d_prop"]))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    block = embed_block(0.6 * kron_word("ZII") + 0.3 * kron_word("XXI"), 1.5)
+    pipelines = [lambda s: estimate_gsprop_general(s, phi0, kron_word("XXX"), cfg),
+                 lambda s: estimate_gsprop_block(s, phi0, block, cfg),
+                 lambda s: estimate_1rdm_entry(s, phi0, 0, 1, cfg)]
+    schedule = ("d_gse", "d_prop", "n_s", "n_b", "n_g", "k_overlap", "k_weighted")
+    for pipeline in pipelines:
+        runs = []
+        for s in instances:
+            report = pipeline(s)
+            runs.append((report.value, report.shots_used,
+                         *(report.intermediate[key] for key in schedule)))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("field,value", [

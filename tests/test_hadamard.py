@@ -9,7 +9,7 @@ from scipy import linalg as sla
 from gspe import PauliString, SpectralData, build_operator, diagonalize, embed_block
 from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            BlockEncodingError, NotUnitaryError,
-                           block_circuit_distribution, block_law,
+                           block_circuit_distribution,
                            block_norm_table, block_success_prob,
                            draw_block_xy, draw_xy_pm1,
                            exact_expectation_1d, exact_expectation_2d,
@@ -18,8 +18,8 @@ from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            expectation_table_O, generalized_circuit_distribution,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
-                           outcome_distribution_O, observable, phase_block,
-                           pm1_law, require_unitary, sample_blocks,
+                           outcome_distribution_O, outcome_law, observable,
+                           phase_block, require_unitary, sample_blocks,
                            table_states)
 
 from conftest import (dense_from_terms, kron_word, random_hermitian,
@@ -306,8 +306,8 @@ def test_frequency_five_sigma(z_system):
     s, plus = z_system
     n = 10 ** 5
     e = exact_expectation_1d(s, plus, 1)
-    zs = draw_xy_pm1(pm1_law(np.array([e])), np.zeros(n, dtype=int),
-                     np.random.default_rng(77))
+    zs = draw_block_xy(outcome_law(np.array([e])), np.zeros(n, dtype=int), 1.0,
+                       np.random.default_rng(77))
     # Bernoulli variance for X: 1 - (Re e)^2
     sigma = math.sqrt((1.0 - e.real ** 2) / n)
     assert abs(zs.real.mean() - e.real) <= 5 * sigma
@@ -328,7 +328,10 @@ def test_sample_blocks_cover_in_order(size):
 
 def test_blocked_draws_match_full_size_draws():
     """One draw call takes, bit for bit, one uniform draw for all X followed
-    by one for all Y."""
+    by one for all Y, for the two-column (+-1) and the four-column (block)
+    law.  The four-column law at alpha = 1 with unit norms draws the
+    two-column law's values from the same stream, and a two-column law
+    never draws 0, also where e = 1, -1 or i pins X or Y to one value."""
     n = 3 * SAMPLE_BLOCK + 5
     gen = np.random.default_rng(5)
     e = 0.9 * np.exp(2j * np.pi * gen.random(n))
@@ -339,8 +342,10 @@ def test_blocked_draws_match_full_size_draws():
     pm1 = (np.where(ux < np.clip(0.5 * (1.0 + e.real), 0.0, 1.0), 1.0, -1.0)
            + 1j * np.where(uy < np.clip(0.5 * (1.0 + e.imag), 0.0, 1.0), 1.0, -1.0))
     cells = np.arange(n)
-    assert np.array_equal(draw_xy_pm1(pm1_law(e), cells, np.random.default_rng(9)),
-                          pm1)
+    assert np.array_equal(draw_block_xy(outcome_law(e), cells, 1.0,
+                                        np.random.default_rng(9)), pm1)
+    assert np.array_equal(draw_xy_pm1(outcome_law(e), cells,
+                                      np.random.default_rng(9)), pm1)
 
     def three(u, part):
         p_succ = 0.5 * (1.0 + nsq / alpha ** 2)
@@ -349,9 +354,16 @@ def test_blocked_draws_match_full_size_draws():
         return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
 
     block = three(ux, e.real) + 1j * three(uy, e.imag)
-    law = block_law(e[None, :], nsq, alpha)
+    law = outcome_law(e[None, :], nsq, alpha)
     assert np.array_equal(draw_block_xy(law, cells, alpha, np.random.default_rng(9)),
                           block)
+
+    for table in (e, np.resize(np.array([1.0, -1.0, 1j]), n)):
+        two = draw_block_xy(outcome_law(table), cells, 1.0, np.random.default_rng(9))
+        four = draw_block_xy(outcome_law(table[None, :], np.ones(n), 1.0), cells, 1.0,
+                             np.random.default_rng(9))
+        assert two.tobytes() == four.tobytes()
+        assert np.all(two.real != 0.0) and np.all(two.imag != 0.0)
 
 
 def test_symmetric_zero_mean(z_system, rng):
@@ -560,33 +572,37 @@ def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
     """Row (j' + d)(2d + 1) + (j + d) of the law holds, bit for bit, the
     thresholds of a shot at (j, j') from e = table[j + d, j' + d] and
     p_succ = (1 + nsq[j' + d] / alpha^2) / 2, and matches the literal
-    circuit's [P(+alpha), P(!= 0)] for X and for Y."""
+    circuit's [P(X = +alpha), P(Y = +alpha), P(X != 0), P(Y != 0)]."""
     _, s, phi = _random_instance(rng, 2)
     o = random_hermitian(rng, 4, norm=0.9)
     alpha, d = 1.2, 3
     width = 2 * d + 1
     table = expectation_table_2d(s, phi, o, d)
     nsq = block_norm_table(s, phi, o, d)
-    law = block_law(table, nsq, alpha)
+    law = outcome_law(table, nsq, alpha)
     assert law.shape == (width * width, 4)
     js, js2 = rng.integers(-d, d + 1, size=(2, 500))
     e = table[js + d, js2 + d]
     p_succ = 0.5 * (1.0 + nsq[js2 + d] / alpha ** 2)
-    shots = []
+    plus, nonzero = [], []
     for part in (e.real, e.imag):
-        plus = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
-        minus = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
-        shots += [plus, plus + minus]
+        p = np.clip(0.5 * (p_succ + part / alpha), 0.0, 1.0)
+        m = np.clip(0.5 * (p_succ - part / alpha), 0.0, 1.0)
+        plus.append(p)
+        nonzero.append(p + m)
+    shots = plus + nonzero
     gathered = law[(js2 + d) * width + (js + d)]
     assert gathered.tobytes() == np.stack(shots, axis=1).tobytes()
     b = embed_block(o, alpha)
     for j in range(-d, d + 1):
         for j2 in range(-d, d + 1):
-            circuit = []
+            plus, nonzero = [], []
             for w in ("I", "S"):
-                pf, plus, _ = block_circuit_distribution(s, phi, b, j2 * s.tau,
-                                                         j * s.tau, w)
-                circuit += [plus, 1.0 - pf]
+                pf, p, _ = block_circuit_distribution(s, phi, b, j2 * s.tau,
+                                                      j * s.tau, w)
+                plus.append(p)
+                nonzero.append(1.0 - pf)
+            circuit = plus + nonzero
             assert np.allclose(law[(j2 + d) * width + (j + d)], circuit,
                                rtol=0.0, atol=1e-10)
 
@@ -599,8 +615,8 @@ def test_pm1_law_at_flat_cells_matches_circuit(rng):
     o = random_unitary(rng, 4)
     d = 3
     width = 2 * d + 1
-    law_2d = pm1_law(expectation_table_2d(s, phi, o, d))
-    law_1d = pm1_law(expectation_table_1d(s, phi, d))
+    law_2d = outcome_law(expectation_table_2d(s, phi, o, d))
+    law_1d = outcome_law(expectation_table_1d(s, phi, d))
     assert law_2d.shape == (width * width, 2) and law_1d.shape == (width, 2)
     for j in range(-d, d + 1):
         one = outcome_distribution_1d(s, phi, j)
@@ -612,18 +628,19 @@ def test_pm1_law_at_flat_cells_matches_circuit(rng):
                                [two["X"][0], two["Y"][0]], rtol=0.0, atol=1e-10)
 
 
-def _real_part_moments(law, values, psi):
+def _real_part_moments(law, alpha, psi):
     """E[Re(z e^{i psi})^2] at every cell (rows) and phase (columns), from a
-    cell law whose X and Y take ``values`` [v+, v-, 0] with the column
-    pairs [P(X = v+), P(X != 0)] at 0, 1 and the same for Y at 2, 3; X and
-    Y are independent given the cell, so with Re = X cos psi - Y sin psi,
+    cell law of :func:`outcome_law` whose X and Y take +-alpha or 0: columns
+    [P(X = +alpha), P(Y = +alpha)], then [P(X != 0), P(Y != 0)] for a
+    four-column law, 1 for a two-column one.  X and Y are independent given
+    the cell, so with Re = X cos psi - Y sin psi,
     E[Re^2] = cos^2 E[X^2] + sin^2 E[Y^2] - sin 2psi E[X] E[Y]."""
-    plus, minus = values[0], values[1]
     moments = []
-    for col in (0, 2):
-        p_plus, p_minus = law[:, col], law[:, col + 1] - law[:, col]
-        moments.append((p_plus * plus + p_minus * minus,
-                        p_plus * plus ** 2 + p_minus * minus ** 2))
+    for col in (0, 1):
+        nonzero = law[:, col + 2] if law.shape[1] == 4 else 1.0
+        p_plus, p_minus = law[:, col], nonzero - law[:, col]
+        moments.append((alpha * (p_plus - p_minus),
+                        alpha ** 2 * (p_plus + p_minus)))
     (mean_x, second_x), (mean_y, second_y) = moments
     c, s = np.cos(psi), np.sin(psi)
     return (np.outer(second_x, c * c) + np.outer(second_y, s * s)
@@ -633,7 +650,7 @@ def _real_part_moments(law, values, psi):
 def test_real_part_second_moment_is_three_halves_of_the_bound(rng):
     """The real part of a shot's value z e^{i psi} has second moment at most
     3/2 per unit weight, 3/2 alpha^2 for the block circuit, at every phase:
-    read off pm1_law and block_law exactly on random tables, on unit
+    read off the two- and four-column outcome_law exactly on random tables, on unit
     entries around the circle, and on the worst case e = (1 - i)/sqrt 2
     (alpha times it, nsq = alpha^2, for the block circuit) at psi = pi/4,
     where it is reached.  E|z|^2 = E[X^2] + E[Y^2] is 2 per unit weight."""
@@ -642,11 +659,8 @@ def test_real_part_second_moment_is_three_halves_of_the_bound(rng):
     worst = (1.0 - 1j) / math.sqrt(2.0)
     circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 97))
     table = expectation_table_2d(s, phi, random_unitary(rng, 4), 3).reshape(-1)
-    pm1 = pm1_law(np.concatenate((table, circle, [worst])))
-    # the +-1 law as [P(+1), P(!= 0) = 1] columns for X and for Y
-    ones = np.ones(pm1.shape[0])
-    moments = _real_part_moments(np.stack((pm1[:, 0], ones, pm1[:, 1], ones),
-                                          axis=1), [1.0, -1.0], psi)
+    moments = _real_part_moments(outcome_law(np.concatenate((table, circle, [worst]))),
+                                 1.0, psi)
     assert moments.max() <= 1.5 + 1e-12
     assert abs(moments[-1, 90] - 1.5) <= 1e-12
     assert np.abs(moments[:, 0] + moments[:, 180] - 2.0).max() <= 1e-12  # psi = 0, pi/2
@@ -655,7 +669,7 @@ def test_real_part_second_moment_is_three_halves_of_the_bound(rng):
     o = random_hermitian(rng, 4, norm=0.9)
     for table, nsq in ((expectation_table_2d(s, phi, o, d), block_norm_table(s, phi, o, d)),
                        (alpha * np.array([[worst]]), np.array([alpha ** 2]))):
-        moments = _real_part_moments(block_law(table, nsq, alpha), [alpha, -alpha], psi)
+        moments = _real_part_moments(outcome_law(table, nsq, alpha), alpha, psi)
         assert moments.max() <= 1.5 * alpha ** 2 * (1 + 1e-12)
     assert abs(moments[0, 90] - 1.5 * alpha ** 2) <= 1e-12
 
@@ -670,7 +684,7 @@ def test_block_success_frequency(rng):
     e = exact_expectation_block(s, phi, o, t1, 0.3)
     nsq = np.linalg.norm(o @ (_dense_expm(h, t1) @ phi)) ** 2
     n = 10 ** 5
-    zs = draw_block_xy(block_law(np.array([[e]]), np.array([nsq]), alpha),
+    zs = draw_block_xy(outcome_law(np.array([[e]]), np.array([nsq]), alpha),
                        np.zeros(n, dtype=int), alpha, np.random.default_rng(123))
     succ_freq = np.mean(zs.real != 0.0)
     sigma = math.sqrt(p_succ * (1 - p_succ) / n)

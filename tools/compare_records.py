@@ -11,8 +11,10 @@ at GSPE_SEED 3 (as the benchmark runs it), and small general,
 block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
 alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
 built below.  For every output file it prints ``identical``, or the largest
-relative difference between the numbers at paths both outputs have, the
-path of the first field that differs, each path only one output has,
+relative and the largest absolute difference between the numbers at paths
+both outputs have (a number that became exactly 0 reads 1 relative however
+small it was, so the absolute one shows its size), the path of the first
+field that differs, each path only one output has,
 and whether ``shots`` and every schedule integer
 (``d_gse``, ``d_prop``, ``n_s``, ``n_b``, ``n_g``, ``k_overlap``,
 ``k_weighted``) still match,
@@ -150,10 +152,12 @@ def _leaf(cell: str):
         return cell
 
 
-def largest_difference(a: bytes, b: bytes, name: str) -> float:
-    """Largest |x - y| / max(|x|, |y|) over the numbers at the paths both
-    outputs have, the leaves paired by path; inf when a non-number at such a
-    path differs.  Paths only one side has are :func:`unpaired_paths`."""
+def largest_difference(a: bytes, b: bytes, name: str, *,
+                       absolute: bool = False) -> float:
+    """Largest |x - y| / max(|x|, |y|), or |x - y| with ``absolute``, over
+    the numbers at the paths both outputs have, the leaves paired by path;
+    inf when a non-number at such a path differs.  Paths only one side has
+    are :func:`unpaired_paths`."""
     right = dict(_leaves(b, name))
     worst = 0.0
     for path, x in _leaves(a, name):
@@ -166,7 +170,8 @@ def largest_difference(a: bytes, b: bytes, name: str) -> float:
             if x != y:
                 return math.inf
         elif x != y:
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            scale = 1.0 if absolute else max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale)
     return worst
 
 
@@ -226,7 +231,8 @@ def main(argv=None) -> int:
                 args = before[output], after[output], output
                 unpaired = unpaired_paths(*args)
                 verdict = (f"differs, largest relative difference "
-                           f"{largest_difference(*args):.3e}, first at "
+                           f"{largest_difference(*args):.3e}, absolute "
+                           f"{largest_difference(*args, absolute=True):.3e}, first at "
                            f"{first_difference(*args)}; {schedule_verdict(*args)}"
                            + (f"; unpaired: {', '.join(unpaired)}" if unpaired else ""))
             print(f"{name:18s} {output:28s} {verdict}", flush=True)
