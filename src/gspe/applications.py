@@ -268,7 +268,7 @@ def estimate_1rdm_entry(spectral: SpectralData, phi0, p: int, q: int,
     The products are formed first, so a bad mode costs no shots.  Identity
     products (p = q) are exact; the others are the terms of the weighted
     stage of one :func:`estimators.estimate_ratio` call, k shots of each per
-    group (``cfg.k`` is per product), their two-time tables built one at a
+    group (``cfg.k`` is per product), their two-time laws built one at a
     time from one Psi (:func:`hadamard.oracle_tables`).
     """
     n_modes = int(round(math.log2(spectral.dim)))

@@ -248,29 +248,27 @@ def acdf_2d_exact(approx: FourierApprox, spectral: SpectralData, phi0,
 
 # --- pooled sampling ----------------------------------------------------------
 
-def _pool_sums(approx: FourierApprox, table: np.ndarray, n_groups: int,
+def _pool_sums(approx: FourierApprox, law: np.ndarray, n_groups: int,
                group_size: int, rng, budget: EvolutionBudget, tau: float, *,
-               lead=None, norms=None, alpha=1.0) -> np.ndarray:
-    """Draw n_groups * group_size shots on ``table`` and return their sums
-    S[g, j + d] over group g and last index j.  Every shot comes from the
-    cell law :func:`hadamard.outcome_law` of ``(table, norms, alpha)``:
-    +-1 shots of a unitary observable without ``norms``, shots of the
-    post-selected block circuit of norm alpha with them.
+               lead=None, alpha=1.0) -> np.ndarray:
+    """Draw n_groups * group_size shots from ``law``, a cell law of
+    :func:`hadamard.outcome_law` at ``alpha`` (1 for a unitary observable),
+    and return their sums S[g, j + d] over group g and last index j.
 
-    The last index is J of a one-time table and J' of a two-time one, whose
-    shots also draw J and are multiplied by lead[J + d].  Shots in a group
-    are exchangeable and S reads them only by last index, so each group
-    first draws its last-index counts (:func:`sample_j_counts`) and lays its
-    shots out in cell order.  Then, chunk by chunk
-    (:func:`hadamard.sample_blocks` of the group), it draws J per shot
-    (two-time only), then X, then Y per shot from the law at the shot's flat
-    cell, j + d or (j' + d)(2d + 1) + (j + d), and adds each run of equal
-    last index into S.  So nothing of a group's size is allocated.
+    The last index is J of a one-time law (one cell axis) and J' of a
+    two-time one (two), whose shots also draw J and are multiplied by
+    lead[J + d].  Shots in a group are exchangeable and S reads them only
+    by last index, so each group first draws its last-index counts
+    (:func:`sample_j_counts`) and lays its shots out in cell order.  Then,
+    chunk by chunk (:func:`hadamard.sample_blocks` of the group), it draws J
+    per shot (two-time only), then X, then Y per shot from the law at the
+    shot's flat cell, j + d or (j' + d)(2d + 1) + (j + d), and adds each run
+    of equal last index into S.  So nothing of a group's size is allocated.
     """
     d = approx.d
     width = 2 * d + 1
-    two_time = table.ndim == 2
-    law = hadamard.outcome_law(table, norms, alpha)
+    two_time = law.ndim == 3
+    law = law.reshape(-1, law.shape[-1])  # a row per flat cell; a view
     steps = np.abs(approx.js)
     sums = np.zeros((n_groups, width), dtype=complex)
     for group in sums:
@@ -407,13 +405,13 @@ def _gse_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
 
 def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                  nu: float | None = None, rng=None,
-                 approx: FourierApprox | None = None, table=None) -> GSEReport:
+                 approx: FourierApprox | None = None, law=None) -> GSEReport:
     """EstimateGSE, the GSE stage: value = x*/tau.
 
     The Heaviside approximant (by default at delta = tau * epsilon with budget
     eta/8) sets the search resolution delta; the shared (J, Z) pool is drawn
     once into per-batch sums, which the Certify binary search inverts.
-    ``table`` is the estimate's :func:`expectation_table_1d` at the
+    ``law`` is the estimate's law of :func:`expectation_table_1d` at the
     approximant's degree (:attr:`hadamard.OracleTables.gse`), when it has one.
     """
     phi0 = as_state(phi0, dim=spectral.dim)
@@ -423,9 +421,9 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
                                 cfg.n_s, cfg.n_b)
     rng = rng if rng is not None else stage_rng(cfg.seed, "gse")
     budget = EvolutionBudget()
-    if table is None:
-        table = expectation_table_1d(spectral, phi0, approx.d)
-    sums = _pool_sums(approx, table, n_b, n_s, rng, budget, spectral.tau)
+    if law is None:
+        law = hadamard.outcome_law(expectation_table_1d(spectral, phi0, approx.d))
+    sums = _pool_sums(approx, law, n_b, n_s, rng, budget, spectral.tau)
     x_star = _invert_sums(approx, sums, cfg.eta, approx.delta, n_s)
     return GSEReport(
         value=x_star / spectral.tau, budget=budget, approx=approx, sums=sums,
@@ -445,18 +443,15 @@ def good_point(x_star: float, tau: float, gamma: float, *,
     return x_star + tau * gamma / 2.0
 
 
-def group_means(approx: FourierApprox, table: np.ndarray, x_good: float,
+def group_means(approx: FourierApprox, law: np.ndarray, x_good: float,
                 n_g: int, k: int, rng, budget: EvolutionBudget, tau: float, *,
-                norms=None, alpha=1.0) -> np.ndarray:
-    """Means at x_good of n_g groups of k fresh shots, each an estimate of
-    sum_j c_j e^{ijx} E_j for a one-time table E or of the two-time sum
-    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'} (block-circuit shots with
-    ``norms``, as in :func:`_pool_sums`)."""
-    lead = None
-    if table.ndim == 2:
-        lead = approx.total_weight * approx.kernel(x_good)
-    sums = _pool_sums(approx, table, n_g, k, rng, budget, tau, lead=lead,
-                      norms=norms, alpha=alpha)
+                alpha=1.0) -> np.ndarray:
+    """Means at x_good of n_g groups of k fresh shots from the cell law of a
+    table E (as in :func:`_pool_sums`), each an estimate of
+    sum_j c_j e^{ijx} E_j for a one-time table or of the two-time sum
+    sum_{j,j'} c_j c_j' e^{i(j+j')x} E_{j,j'}."""
+    lead = approx.total_weight * approx.kernel(x_good) if law.ndim == 3 else None
+    sums = _pool_sums(approx, law, n_g, k, rng, budget, tau, lead=lead, alpha=alpha)
     return batch_means(approx, sums, x_good, k)
 
 
@@ -505,19 +500,19 @@ def _stage_schedule(approx: FourierApprox, cfg: EstimationConfig, nu: float, *,
 def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
                      cfg: EstimationConfig, *, approx: FourierApprox | None = None,
                      nu: float | None = None, budget: EvolutionBudget | None = None,
-                     table=None) -> float:
+                     law=None) -> float:
     """The overlap stage: median-of-means estimate of p0 = C(x_good), of
     which only the real part is read, so it is scheduled at the real part's
-    bound; ``table`` as in :func:`estimate_gse`
+    bound; ``law`` as in :func:`estimate_gse`
     (:attr:`hadamard.OracleTables.overlap`)."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
     n_g, k = _stage_schedule(approx, cfg, nu, real=True)
     budget = budget if budget is not None else EvolutionBudget()
-    if table is None:
-        table = expectation_table_1d(spectral, phi0, approx.d)
-    return median_of_means(group_means(approx, table, x_good, n_g, k,
+    if law is None:
+        law = hadamard.outcome_law(expectation_table_1d(spectral, phi0, approx.d))
+    return median_of_means(group_means(approx, law, x_good, n_g, k,
                                        stage_rng(cfg.seed, "overlap"), budget,
                                        spectral.tau), n_g, 1).real
 
@@ -548,13 +543,13 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     Term (u, index) of ``terms`` samples the weighted table of the next
     observable from weighted stream ``index``; a group's value is sum u *
     (the term's group mean), on one schedule at sum |u|^2 times one table's
-    per-shot bound.  The tables (:func:`hadamard.oracle_tables`) are
-    one-time with ``one_time``, block with ``alpha`` (shots of the
-    post-selected circuit of a block encoding of norm alpha) and two-time
-    otherwise; every stage draws from the cell law of its table
-    (:func:`hadamard.outcome_law`, read with the block norms and alpha by
-    the block kind's weighted stage).  Each weighted table is dropped before
-    the next one is built.
+    per-shot bound.  Every stage draws from the cell law of its table, which
+    :func:`hadamard.oracle_tables` yields in the table's place: one-time
+    with ``one_time``, block with ``alpha`` (shots of the post-selected
+    circuit of a block encoding of norm alpha) and two-time otherwise.
+    Each weighted law is dropped before the next one is built; the instance
+    keeps the last estimate's laws (a block law, keyed with alpha, takes 32 B
+    per cell), so an estimate at a new seed pays only for the key.
 
     When the target sum u O is Hermitian (``real_target`` in the record),
     the numerator <phi0| F(x - tau H) sum u O F(x - tau H) |phi0> is real,
@@ -584,18 +579,18 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     if x_good is None:
         gse_approx = build_fourier_approx(spectral.tau * gamma / 8.0, cfg.eta / 8.0)
     tables = hadamard.oracle_tables(
-        spectral, phi0, observables, approx.d, kind=kind,
+        spectral, phi0, observables, approx.d, kind=kind, alpha=alpha,
         d_gse=None if gse_approx is None else gse_approx.d)
     item = next(tables)
     if x_good is None:
         gse = estimate_gse(spectral, phi0, cfg, nu=nu, approx=gse_approx,
-                           table=item.gse)
+                           law=item.gse)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
                             epsilon=gamma / 8.0)
         budget = gse.budget
         inter.update(gse.intermediate)
     p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
-                              budget=budget, table=item.overlap)
+                              budget=budget, law=item.overlap)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
     n_g, k = _stage_schedule(approx, cfg, nu, real=True)
@@ -610,12 +605,10 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     values = None
     for u, index in terms:
         item = item or next(tables)
-        table, norms = item.weighted, item.norms
-        item = None
-        means = group_means(approx, table, x_good, n_g, k,
+        means = group_means(approx, item.weighted, x_good, n_g, k,
                             stage_rng(cfg.seed, "weighted", index=index),
-                            budget, spectral.tau, norms=norms, alpha=alpha)
-        del table, norms
+                            budget, spectral.tau, alpha=alpha)
+        item = None
         means = means if u == 1 else u * means  # u = 1: the means, bit for bit
         values = means if values is None else values + means
     num = median_of_means(values, n_g, 1)

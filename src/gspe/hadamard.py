@@ -9,6 +9,11 @@ the one vectorized draw, :func:`draw_block_xy`, draws shots from them; the
 single-index targets evaluate the same moment code, and the test suite pins
 tables and draws against the literal circuits.
 
+Estimates get their laws from :func:`oracle_tables`, the one place a table
+becomes a law; the instance keeps its last estimate's laws (a block law,
+32 B per cell), keyed by content, degrees, kind and alpha, so a hit pays
+only for the key.
+
 Sign conventions: with W = I the outcome 0 maps to X = +1; with W = S
 (phase gate diag(1, i)) the outcome 0 maps to Y = -1, so that
 E[X + iY] equals the matrix element targeted by each circuit family.
@@ -296,21 +301,20 @@ def block_norm_table(spectral: SpectralData, phi0, o_matrix, d: int, *,
 
 @dataclass(frozen=True)
 class OracleTables:
-    """The exact-moment tables one estimate samples from.
+    """The shot laws (:func:`outcome_law`) one estimate samples from, of:
 
     gse : :func:`expectation_table_1d` at the GSE degree, or None for an
         estimate without a GSE stage
     overlap : :func:`expectation_table_1d` at the property degree d
     weighted : the weighted stage's table at degree d,
         :func:`expectation_table_O` for the one-time kind and
-        :func:`expectation_table_2d` for the two-time and block kinds
-    norms : :func:`block_norm_table` for the block kind, else None
+        :func:`expectation_table_2d` for the two-time and block kinds, the
+        block kind's read with :func:`block_norm_table` and alpha
     """
 
     gse: np.ndarray | None
     overlap: np.ndarray
     weighted: np.ndarray
-    norms: np.ndarray | None = None
 
 
 TABLE_KINDS = ("one-time", "two-time", "block")
@@ -326,9 +330,9 @@ def _content_key(obs: Observable) -> tuple:
 
 def _weighted_tables(spectral: SpectralData, phi0, obs: Observable, d: int,
                      kind: str, source: np.ndarray) -> tuple:
-    """(weighted, norms) of :class:`OracleTables` from ``source``: the phase
-    block for the one-time kind, Psi for the two-time kinds, whose table and
-    norms share one O Psi."""
+    """(table, norms) of the weighted stage from ``source``: the phase block
+    for the one-time kind, Psi for the two-time kinds, whose table and
+    norms (block kind only, else None) share one O Psi."""
     if kind == "one-time":
         return expectation_table_O(spectral, phi0, obs, d, phases=source), None
     moved = obs.apply(source)
@@ -338,24 +342,25 @@ def _weighted_tables(spectral: SpectralData, phi0, obs: Observable, d: int,
 
 
 def oracle_tables(spectral: SpectralData, phi0, observables, d: int, *,
-                  d_gse: int | None = None,
-                  kind: str = "two-time") -> Iterator[OracleTables]:
-    """Yield the :class:`OracleTables` of each observable in turn: the
-    one-time tables of phi0 at ``d_gse`` and ``d``, and the ``kind`` table
-    of the observable (one of TABLE_KINDS) at ``d``.
+                  d_gse: int | None = None, kind: str = "two-time",
+                  alpha: float = 1.0) -> Iterator[OracleTables]:
+    """Yield the :class:`OracleTables` of each observable in turn: the laws
+    of the one-time tables of phi0 at ``d_gse`` and ``d`` and of the
+    ``kind`` table (one of TABLE_KINDS) of the observable at ``d``.
 
-    Every estimate gets its tables here.  The instance keeps the tables it
-    yielded last, keyed by the bytes of phi0, the observable's content
-    (:func:`_content_key`), ``d``, ``d_gse`` and ``kind``; an equal key is a
-    hit and builds nothing.  A miss first drops the kept tables, so at most
-    one weighted table is held by the instance, then builds one phase
-    block at the larger degree, the one-time tables and Psi
-    (:func:`table_states`; the phase block itself for the one-time kind)
-    once for all the observables that miss, and each weighted table only
-    when it is asked for.  The phase block is dropped once Psi is built,
-    and Psi before the last observable's tables are yielded, so neither is
-    alive while the caller samples from them.  Hit or miss, the tables are
-    bit-identical to stand-alone ones.
+    Every estimate gets its laws here, the one place a table becomes a law
+    (a block table with its norms and ``alpha``); a table is dropped once
+    its law is built.  The instance keeps the laws it yielded last, keyed by
+    the bytes of phi0, the observable's content (:func:`_content_key`),
+    ``d``, ``d_gse``, ``kind`` and ``alpha``; an equal key is a hit and
+    builds nothing.  A miss first drops the kept laws, so at most one
+    weighted law is held by the instance, then builds one phase block at the
+    larger degree, the one-time laws and Psi (:func:`table_states`; the
+    phase block itself for the one-time kind) once for all the observables
+    that miss, and each weighted law only when it is asked for.  The phase
+    block is dropped once Psi is built, and Psi before the last observable's
+    law is built, so none is alive while the caller samples.  Hit or miss,
+    the laws are bit-identical to those of stand-alone tables.
     """
     if kind not in TABLE_KINDS:
         raise ValueError(f"table kind must be one of {TABLE_KINDS}, got {kind!r}")
@@ -364,27 +369,28 @@ def oracle_tables(spectral: SpectralData, phi0, observables, d: int, *,
     memo = spectral._table_memo
     one_time = source = None
     for index, obs in enumerate(observables):
-        key = (phi0.tobytes(), _content_key(obs), d, d_gse, kind)
-        tables = memo.get(key)
-        if tables is None:
+        key = (phi0.tobytes(), _content_key(obs), d, d_gse, kind, alpha)
+        laws = memo.get(key)
+        if laws is None:
             memo.clear()
             if source is None:
                 phases = phase_block(spectral, max(d, d_gse or 0))
                 if one_time is None:
                     one_time = tuple(
-                        None if degree is None
-                        else expectation_table_1d(spectral, phi0, degree, phases=phases)
+                        None if degree is None else outcome_law(
+                            expectation_table_1d(spectral, phi0, degree, phases=phases))
                         for degree in (d_gse, d))
                 source = (phases if kind == "one-time"
                           else table_states(spectral, phi0, d, phases=phases))
                 del phases
-            tables = OracleTables(*one_time, *_weighted_tables(spectral, phi0, obs, d,
-                                                               kind, source))
-            memo[key] = tables
-        one_time = tables.gse, tables.overlap
+            table, norms = _weighted_tables(spectral, phi0, obs, d, kind, source)
         if index == len(observables) - 1:
             source = None
-        yield tables
+        if laws is None:
+            laws = memo[key] = OracleTables(*one_time, outcome_law(table, norms, alpha))
+            del table, norms
+        one_time = laws.gse, laws.overlap
+        yield laws
 
 
 def exact_expectation_1d(spectral: SpectralData, phi0, j: int) -> complex:
@@ -604,18 +610,18 @@ def outcome_law(table: np.ndarray, nsq: np.ndarray | None = None,
     """Outcome law of the Hadamard test on every cell of ``table``, for
     :func:`draw_block_xy`.
 
-    Row c is the law at flat cell c: j + d of a one-time table,
-    (j' + d)(2d + 1) + (j + d) of a two-time one, so J' is the major axis.
-    For the entry e at the cell, P(X = +alpha) = clip((p_succ + Re e /
-    alpha) / 2, 0, 1), likewise P(X = -alpha) with - Re e, and Y reads
-    Im e.  Without ``nsq`` no shot fails, p_succ = 1, and the row holds
-    [P(X = +alpha), P(Y = +alpha)]: at alpha = 1 the +-1 test of a unitary
-    observable.  With ``nsq`` (the post-selected block circuit on a
-    two-time table) p_succ = (1 + nsq[j' + d] / alpha^2) / 2 depends on the
-    first evolution j' alone, and the row holds [P(X = +alpha),
-    P(Y = +alpha), P(X != 0), P(Y != 0)], P(!= 0) the sum of P(+) and P(-).
-    At alpha = 1 and nsq = 1 its first two columns are the +-1 law, bit
-    for bit.
+    The law keeps the cell axes, J' major, outcome columns last: law[j + d]
+    of a one-time table, law[j' + d, j + d] of a two-time one, which its
+    flattened view holds at row (j' + d)(2d + 1) + (j + d).  For the entry
+    e at a cell, P(X = +alpha) = clip((p_succ + Re e / alpha) / 2, 0, 1),
+    likewise P(X = -alpha) with - Re e, and Y reads Im e.  Without ``nsq``
+    no shot fails, p_succ = 1, and a cell holds [P(X = +alpha),
+    P(Y = +alpha)]: at alpha = 1 the +-1 test of a unitary observable.
+    With ``nsq`` (the post-selected block circuit on a two-time table)
+    p_succ = (1 + nsq[j' + d] / alpha^2) / 2 depends on the first evolution
+    j' alone, and a cell holds [P(X = +alpha), P(Y = +alpha), P(X != 0),
+    P(Y != 0)], P(!= 0) the sum of P(+) and P(-).  At alpha = 1 and nsq = 1
+    its first two columns are the +-1 law, bit for bit.
     """
     cells = table.T  # J' major; a one-time table stays as it is
     p_succ = 1.0 if nsq is None else 0.5 * (1.0 + nsq[:, None] / alpha ** 2)
@@ -626,13 +632,13 @@ def outcome_law(table: np.ndarray, nsq: np.ndarray | None = None,
         law[..., col] = plus = np.clip(0.5 * (p_succ + part), 0.0, 1.0)
         if nsq is not None:
             law[..., col + 2] = plus + np.clip(0.5 * (p_succ - part), 0.0, 1.0)
-    return law.reshape(-1, width)
+    return law
 
 
 def draw_block_xy(law: np.ndarray, cells: np.ndarray, alpha: float,
                   rng) -> np.ndarray:
     """Vector of z = X + iY draws of the Hadamard test, one per flat cell in
-    ``cells``, from the cell law of :func:`outcome_law`.
+    ``cells``, from the rows of a flattened cell law of :func:`outcome_law`.
 
     A uniform u gives alpha (2 [u < P(= +alpha)] - [u < P(!= 0)]): +alpha
     below P(= +alpha), -alpha below P(!= 0) and 0 above it.  A two-column

@@ -44,11 +44,11 @@ class SpectralData:
     gap : lambda_1 - lambda_0 (unnormalized)
     tau : scale factor with tau * max|lambda_k| = pi/3
 
-    An instance also keeps the exact-moment tables of its last estimate
-    (:func:`hadamard.oracle_tables`), keyed by the content of phi0, the
-    observable and the degrees, so an estimate at a new seed on the same
-    (phi0, O, degrees) builds none.  The memo holds one estimate's tables,
-    is left out of eq, hash and repr, and is freed with the instance;
+    An instance also keeps its last estimate's shot laws (32 B per cell for
+    a block law; :func:`hadamard.oracle_tables`), keyed by the content of
+    phi0 and O, the degrees, the table kind and alpha, so a hit builds no
+    table or law and pays only for the key.  The memo holds one estimate's
+    laws, is left out of eq, hash and repr, and is freed with the instance;
     :func:`diagonalize` returns read-only eigenvalues and eigenvectors, so
     it cannot go stale through an in-place write.
     """

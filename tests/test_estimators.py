@@ -235,8 +235,8 @@ def test_g2_empirical_variance(small_approx):
     j1 = sample_j_batch(a, n, rng)
     j2 = sample_j_batch(a, n, rng)
     table = expectation_table_2d(spectral, phi0, o_mat, a.d)
-    zs = draw_block_xy(outcome_law(table), (j2 + a.d) * (2 * a.d + 1) + j1 + a.d,
-                       1.0, rng)
+    zs = draw_block_xy(outcome_law(table).reshape(-1, 2),
+                       (j2 + a.d) * (2 * a.d + 1) + j1 + a.d, 1.0, rng)
     values = g2_estimator(a, 0.2, 0.2, j1, j2, zs)
     var = np.mean(np.abs(values - values.mean()) ** 2)
     assert var <= 2.0 * a.total_weight ** 4
@@ -250,6 +250,7 @@ def _replay_pool(approx, table, n_groups, group_size, rng, norms=None, alpha=1.0
     cell j + d or (j' + d)(2d + 1) + (j + d)."""
     d = approx.d
     law = outcome_law(table, norms, alpha)
+    law = law.reshape(-1, law.shape[-1])
     probs = approx.abs_coefficients / approx.total_weight
     parts = []
     for _ in range(n_groups):
@@ -272,6 +273,7 @@ def _per_shot_pool(approx, table, n_groups, group_size, rng, norms=None, alpha=1
     a two-time table."""
     d = approx.d
     law = outcome_law(table, norms, alpha)
+    law = law.reshape(-1, law.shape[-1])
     n = n_groups * group_size
     index = [sample_j_batch(approx, n, rng) for _ in range(table.ndim)]
     cells = index[-1] + d
@@ -325,8 +327,8 @@ def test_weighted_stage_replays_public_draws(small_approx, kind):
     values = zs * np.prod([phase[js + d] for js in index], axis=0)
     times = sum(np.abs(js) for js in index) * tau
     budget = EvolutionBudget()
-    got = group_means(a, table, x, n_g, k, np.random.default_rng(41), budget, tau,
-                      norms=norms, alpha=alpha)
+    got = group_means(a, outcome_law(table, norms, alpha), x, n_g, k,
+                      np.random.default_rng(41), budget, tau, alpha=alpha)
     assert np.abs(got - values.reshape(n_g, k).mean(axis=1)).max() <= 1e-12
     assert budget.shots == n_g * k
     assert budget.max_time == float(times.max())
@@ -362,7 +364,7 @@ def test_1rdm_stage_replays_public_draws(variant2q, rng, p, q):
             continue
         phase, string = majorana_product(a_idx, b_idx, 2)
         sums = estimators._pool_sums(
-            a, expectation_table_2d(s, phi0, string, a.d), n_g, k,
+            a, outcome_law(expectation_table_2d(s, phi0, string, a.d)), n_g, k,
             stage_rng(cfg.seed, "weighted", index=index), EvolutionBudget(),
             s.tau, lead=lead)
         values += weight * phase / 4.0 * batch_means(a, sums, x, k)
@@ -429,9 +431,9 @@ def test_pool_sums_have_the_exact_mean(kind):
     spectral, table, norms, alpha, second = _pool_case(kind, a.d)
     n_g, k = 400, 500
     lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
-    sums = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(8),
-                                 EvolutionBudget(), spectral.tau, lead=lead,
-                                 norms=norms, alpha=alpha)
+    sums = estimators._pool_sums(a, outcome_law(table, norms, alpha), n_g, k,
+                                 np.random.default_rng(8), EvolutionBudget(),
+                                 spectral.tau, lead=lead, alpha=alpha)
     mean, var_re, var_im = _exact_sum_moments(a, table, second, k)
     keep = a.abs_coefficients / a.total_weight * k * n_g >= 100
     resid = np.concatenate([
@@ -450,9 +452,9 @@ def test_pool_sums_match_per_shot_pool_in_law(kind):
     spectral, table, norms, alpha, _ = _pool_case(kind, a.d)
     n_g, k = 300, 400
     lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
-    counted = estimators._pool_sums(a, table, n_g, k, np.random.default_rng(9),
-                                    EvolutionBudget(), spectral.tau, lead=lead,
-                                    norms=norms, alpha=alpha)
+    counted = estimators._pool_sums(a, outcome_law(table, norms, alpha), n_g, k,
+                                    np.random.default_rng(9), EvolutionBudget(),
+                                    spectral.tau, lead=lead, alpha=alpha)
     per_shot = _per_shot_pool(a, table, n_g, k, np.random.default_rng(10),
                               norms, alpha)
     top = np.argsort(a.abs_coefficients)[-3:]
@@ -1078,7 +1080,7 @@ def test_epsilon_range_is_checked_by_each_stage(variant2q, monkeypatch):
     with pytest.raises(PreconditionError, match="outside the Fourier construction"):
         estimate_gse(s, s.ground_state(),
                      EstimationConfig(epsilon=math.pi / 3 / s.tau, eta=0.5, nu=0.1),
-                     table=np.zeros(1))
+                     law=np.zeros((1, 2)))
 
 
 def test_property_pipeline_is_invariant_to_scaling_h(rng):

@@ -354,14 +354,14 @@ def test_blocked_draws_match_full_size_draws():
         return np.where(u < plus, alpha, np.where(u < plus + minus, -alpha, 0.0))
 
     block = three(ux, e.real) + 1j * three(uy, e.imag)
-    law = outcome_law(e[None, :], nsq, alpha)
+    law = outcome_law(e[None, :], nsq, alpha).reshape(-1, 4)
     assert np.array_equal(draw_block_xy(law, cells, alpha, np.random.default_rng(9)),
                           block)
 
     for table in (e, np.resize(np.array([1.0, -1.0, 1j]), n)):
         two = draw_block_xy(outcome_law(table), cells, 1.0, np.random.default_rng(9))
-        four = draw_block_xy(outcome_law(table[None, :], np.ones(n), 1.0), cells, 1.0,
-                             np.random.default_rng(9))
+        unit = outcome_law(table[None, :], np.ones(n), 1.0).reshape(-1, 4)
+        four = draw_block_xy(unit, cells, 1.0, np.random.default_rng(9))
         assert two.tobytes() == four.tobytes()
         assert np.all(two.real != 0.0) and np.all(two.imag != 0.0)
 
@@ -569,7 +569,8 @@ def test_block_tables_match_block_circuit_everywhere(rng, n):
 
 
 def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
-    """Row (j' + d)(2d + 1) + (j + d) of the law holds, bit for bit, the
+    """The law keeps the table's cell axes, J' major, and flattening them is
+    a view whose row (j' + d)(2d + 1) + (j + d) holds, bit for bit, the
     thresholds of a shot at (j, j') from e = table[j + d, j' + d] and
     p_succ = (1 + nsq[j' + d] / alpha^2) / 2, and matches the literal
     circuit's [P(X = +alpha), P(Y = +alpha), P(X != 0), P(Y != 0)]."""
@@ -579,8 +580,10 @@ def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
     width = 2 * d + 1
     table = expectation_table_2d(s, phi, o, d)
     nsq = block_norm_table(s, phi, o, d)
-    law = outcome_law(table, nsq, alpha)
-    assert law.shape == (width * width, 4)
+    cell_law = outcome_law(table, nsq, alpha)
+    assert cell_law.shape == (width, width, 4)
+    law = cell_law.reshape(-1, 4)
+    assert np.shares_memory(law, cell_law)
     js, js2 = rng.integers(-d, d + 1, size=(2, 500))
     e = table[js + d, js2 + d]
     p_succ = 0.5 * (1.0 + nsq[js2 + d] / alpha ** 2)
@@ -608,16 +611,17 @@ def test_block_law_at_flat_cells_equals_per_shot_thresholds(rng):
 
 
 def test_pm1_law_at_flat_cells_matches_circuit(rng):
-    """Row (j' + d)(2d + 1) + (j + d) of the +-1 law of a two-time table, and
-    row j + d of a one-time one, hold [P(X = +1), P(Y = +1)] of the literal
-    circuit at (j, j') or j."""
+    """Row (j' + d)(2d + 1) + (j + d) of the +-1 law of a two-time table, its
+    cell axes flattened, and row j + d of a one-time one, hold
+    [P(X = +1), P(Y = +1)] of the literal circuit at (j, j') or j."""
     _, s, phi = _random_instance(rng, 2)
     o = random_unitary(rng, 4)
     d = 3
     width = 2 * d + 1
     law_2d = outcome_law(expectation_table_2d(s, phi, o, d))
     law_1d = outcome_law(expectation_table_1d(s, phi, d))
-    assert law_2d.shape == (width * width, 2) and law_1d.shape == (width, 2)
+    assert law_2d.shape == (width, width, 2) and law_1d.shape == (width, 2)
+    law_2d = law_2d.reshape(-1, 2)
     for j in range(-d, d + 1):
         one = outcome_distribution_1d(s, phi, j)
         assert np.allclose(law_1d[j + d], [one["X"][0], one["Y"][0]],
@@ -635,6 +639,7 @@ def _real_part_moments(law, alpha, psi):
     four-column law, 1 for a two-column one.  X and Y are independent given
     the cell, so with Re = X cos psi - Y sin psi,
     E[Re^2] = cos^2 E[X^2] + sin^2 E[Y^2] - sin 2psi E[X] E[Y]."""
+    law = law.reshape(-1, law.shape[-1])  # a row per cell
     moments = []
     for col in (0, 1):
         nonzero = law[:, col + 2] if law.shape[1] == 4 else 1.0
@@ -684,8 +689,8 @@ def test_block_success_frequency(rng):
     e = exact_expectation_block(s, phi, o, t1, 0.3)
     nsq = np.linalg.norm(o @ (_dense_expm(h, t1) @ phi)) ** 2
     n = 10 ** 5
-    zs = draw_block_xy(outcome_law(np.array([[e]]), np.array([nsq]), alpha),
-                       np.zeros(n, dtype=int), alpha, np.random.default_rng(123))
+    law = outcome_law(np.array([[e]]), np.array([nsq]), alpha).reshape(-1, 4)
+    zs = draw_block_xy(law, np.zeros(n, dtype=int), alpha, np.random.default_rng(123))
     succ_freq = np.mean(zs.real != 0.0)
     sigma = math.sqrt(p_succ * (1 - p_succ) / n)
     assert abs(succ_freq - p_succ) <= 5 * sigma

@@ -2,13 +2,17 @@
 
     python3 tools/measure_contract.py [--seeds N] [--instance NAME ...] [--src DIR]
 
-Each instance is built once, in process, and estimated at seeds 0 .. N-1, so
-after the first estimate an instance reuses its oracle tables and the runs
-cost only sampling.  A miss is an estimate whose |estimate - exact| exceeds
-epsilon.  For each instance one line reports the shots per estimate (median,
-min and max), error / epsilon (median, 95th percentile, max), the misses, and
-the two-sided 95% Clopper-Pearson upper bound on the miss rate, set against
-the instance's nu.  The exit code is 1 when any bound exceeds its nu.
+Each instance is built once, in process, and estimated at seeds 0 .. N-1.
+After the first estimate, ensemble-10q, block-alpha1, rdm-0-0 and phase-x
+find their shot laws kept and cost only sampling.  rdm-0-1 builds one phase
+block and its four products' laws at every estimate, as each Majorana
+product is its own key and the instance keeps only the last, and
+qlss-kappa4 diagonalizes a fresh H'(1) at every call.  A miss is an estimate
+whose |estimate - exact| exceeds epsilon.  For each instance one line
+reports the shots per estimate (median, min and max), error / epsilon
+(median, 95th percentile, max), the misses, and the two-sided 95%
+Clopper-Pearson upper bound on the miss rate, set against the instance's
+nu.  The exit code is 1 when any bound exceeds its nu.
 
 Instances:
   ensemble-10q  the benchmark's 10-qubit TFIM, general pipeline (eps 0.1,
