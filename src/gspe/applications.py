@@ -187,8 +187,10 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
 
     The ground energy stage is skipped (the relevant level of H'(1) is zero by
     construction); the good point is tau*gamma/2 with gamma the smallest
-    nonzero level.  M~ annihilating the kernel partner |1>|bbar> is asserted,
-    not assumed.
+    nonzero level, exact, so tau*gamma/2 from the kernel and from the
+    nearest nonzero levels, more than the property approximant's delta
+    (:func:`estimators.property_delta`).  M~ annihilating the kernel
+    partner |1>|bbar> is asserted, not assumed.
     """
     spectral, gamma = _qlss_spectral(inst)
     m_tilde = assemble_observable(inst, m_operator)
@@ -218,7 +220,8 @@ def qlss_estimate(inst: LinearSystemInstance, m_operator, epsilon: float,
     exact = complex(x.conj() @ hadamard.as_matrix(m_operator) @ x)
     inter = {key: report.intermediate[key]
              for key in ("x_good", "p0_bar", "p_lo", "k_weighted", "p0o0_bar",
-                         "real_target", "gamma", "d_prop", "alpha")}
+                         "real_target", "gamma", "delta_prop", "d_prop",
+                         "alpha")}
     inter.update({"tau": spectral.tau, "exact": exact, "kernel_mass": kernel_mass,
                   "error": abs(report.value - exact)})
     report.intermediate = inter

@@ -310,8 +310,11 @@ def _shot_sums(approx: FourierApprox, js, zs, n_s: int, n_b: int) -> np.ndarray:
 
 def batch_means(approx: FourierApprox, sums: np.ndarray, x: float,
                 n_s: int) -> np.ndarray:
-    """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d]."""
-    return approx.total_weight / n_s * (sums @ approx.kernel(x))
+    """Mean of G(x) over each batch of n_s shots, from the sums S[r, j + d].
+
+    An einsum, not ``sums @ kernel``: it calls no BLAS, and a threaded
+    BLAS can take milliseconds to start on a product this small."""
+    return approx.total_weight / n_s * np.einsum("rj,j->r", sums, approx.kernel(x))
 
 
 def _certify_sums(approx: FourierApprox, sums: np.ndarray, x: float,
@@ -362,7 +365,16 @@ def invert_cdf(approx: FourierApprox, js, zs, eta: float, delta: float,
 
 def _invert_sums(approx: FourierApprox, sums: np.ndarray, eta: float,
                  delta: float, n_s: int) -> float:
-    """InvertCDF on the per-batch sums S[r, j + d] of the pool."""
+    """InvertCDF on the per-batch sums S[r, j + d] of the pool.
+
+    Its accuracy is (4/3) delta, not delta.  A vote of 0 at x is evidence
+    that x + delta >= x0, the first eta-crossing, and moves the right end to
+    x + (2/3) delta >= x0 - delta/3; a vote of 1 is evidence that
+    x - delta < x0 and moves the left end to x - (2/3) delta < x0 + delta/3.
+    So x_L < x0 + delta/3 and x_R >= x0 - delta/3 throughout, and the
+    midpoint of the last bracket, of width at most 2 delta, lies within
+    (4/3) delta of x0.
+    """
     x_left = -math.pi / 3.0 - SEARCH_PAD * delta
     x_right = math.pi / 3.0 + SEARCH_PAD * delta
     max_iter = bracket_iterations(delta) + 2
@@ -435,7 +447,9 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
 def good_point(x_star: float, tau: float, gamma: float, *,
                epsilon: float) -> float:
     """x* + tau*gamma/2, the evaluation point clear of both the ground jump
-    and the first excited jump.  Requires the GSE accuracy epsilon < gamma/4."""
+    and the first excited jump.  epsilon is the accuracy x*/tau is known to
+    have, |x*/tau - lambda_0| <= epsilon, which must lie below gamma/4; the
+    point is then at least tau*(gamma/2 - epsilon) from both jumps."""
     if not 0.0 < epsilon < gamma / 4.0:
         raise PreconditionError(
             f"good point needs epsilon in (0, gamma/4); got epsilon={epsilon}, "
@@ -455,14 +469,39 @@ def group_means(approx: FourierApprox, law: np.ndarray, x_good: float,
     return batch_means(approx, sums, x_good, k)
 
 
+def gse_delta(tau: float, gamma: float) -> float:
+    """Search resolution of the GSE stage of a property estimate,
+    tau*gamma/8; :func:`_invert_sums` puts x* within (4/3) of it,
+    tau*gamma/6, of tau*lambda_0."""
+    return tau * gamma / 8.0
+
+
+def property_delta(tau: float, gamma: float) -> float:
+    """Transition width of the property approximant: min(tau*gamma/3,
+    0.8 MAX_DELTA).
+
+    tau*gamma/3 is the good point's margin.  x* lies within tau*gamma/6 of
+    tau*lambda_0 (:func:`gse_delta`), so x_good = x* + tau*gamma/2 lies in
+    [tau*lambda_0 + tau*gamma/3, tau*lambda_0 + 2 tau*gamma/3], at least
+    tau*gamma/3 from the ground jump and from the first excited jump at
+    tau*lambda_1 >= tau*(lambda_0 + gamma).  An exact x_good =
+    tau*(lambda_0 + gamma/2) has the larger margin tau*gamma/2.  The cap,
+    2 pi/15, keeps the Fourier construction inside (0, MAX_DELTA) where
+    tau*gamma/3 would leave it; as tau*gamma <= 2 pi/3 on the normalized
+    spectrum, it is never below tau*gamma/5.
+    """
+    return min(tau * gamma / 3.0, 0.8 * MAX_DELTA)
+
+
 def _property_approx(spectral: SpectralData, cfg: EstimationConfig) -> FourierApprox:
-    """Approximant of the overlap and weighted stages: delta = tau*gamma/5
-    keeps both jumps clear of the good point; budget eta*epsilon/32.
-    epsilon is the dimensionless property accuracy, in (0, 1)."""
+    """Approximant of the overlap and weighted stages, at delta =
+    :func:`property_delta` with budget eta*epsilon/32.  It reads the CDFs
+    at x_good to within the budget only where x_good is at least delta from
+    both jumps.  epsilon is the dimensionless property accuracy, in (0, 1)."""
     if not cfg.epsilon < 1.0:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {cfg.epsilon}")
     gamma = cfg.gamma if cfg.gamma is not None else spectral.gap
-    return build_fourier_approx(spectral.tau * gamma / 5.0,
+    return build_fourier_approx(property_delta(spectral.tau, gamma),
                                 cfg.eta * (cfg.epsilon / 4.0) / 8.0)
 
 
@@ -504,7 +543,9 @@ def estimate_overlap(spectral: SpectralData, phi0, x_good: float,
     """The overlap stage: median-of-means estimate of p0 = C(x_good), of
     which only the real part is read, so it is scheduled at the real part's
     bound; ``law`` as in :func:`estimate_gse`
-    (:attr:`hadamard.OracleTables.overlap`)."""
+    (:attr:`hadamard.OracleTables.overlap`).  x_good must sit at least the
+    approximant's delta (by default :func:`property_delta`) from both the
+    ground jump and the first excited jump."""
     phi0 = as_state(phi0, dim=spectral.dim)
     nu = cfg.nu if nu is None else nu
     approx = approx if approx is not None else _property_approx(spectral, cfg)
@@ -523,10 +564,14 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
                    x_good: float | None = None) -> EstimateReport:
     """The property estimate: the weighted stage over the overlap p0_bar,
     both read at x_good, after EstimateGSE and the good point (both skipped
-    when ``x_good`` is given).  GSE runs at accuracy gamma/8, in the units
-    of H, with Fourier budget eta/8; the overlap and weighted stages on the
-    approximant at delta = tau*gamma/5 with budget eta*epsilon/32, each
-    targeting epsilon/4; nu is shared evenly over the stages run.
+    when ``x_good`` is given).  GSE searches at delta_gse = tau*gamma/8
+    (:func:`gse_delta`) with Fourier budget eta/8, which gives accuracy
+    gamma/6 in the units of H; the overlap and weighted stages run on the
+    approximant at delta_prop (:func:`property_delta`, tau*gamma/3 below
+    its cap) with budget eta*epsilon/32, each targeting epsilon/4; nu is
+    shared evenly over the stages run.  A given ``x_good`` must sit at
+    least delta_prop from both jumps.  The record carries delta_prop, and
+    delta_gse when the GSE stage runs.
 
     The overlap stage targets eta*epsilon/4, at the promised floor p0 >= eta.
     The weighted stage targets p_lo*epsilon/4 with
@@ -577,7 +622,8 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
     approx = _property_approx(spectral, cfg)
     gse_approx = None
     if x_good is None:
-        gse_approx = build_fourier_approx(spectral.tau * gamma / 8.0, cfg.eta / 8.0)
+        gse_approx = build_fourier_approx(gse_delta(spectral.tau, gamma),
+                                          cfg.eta / 8.0)
     tables = hadamard.oracle_tables(
         spectral, phi0, observables, approx.d, kind=kind, alpha=alpha,
         d_gse=None if gse_approx is None else gse_approx.d)
@@ -586,15 +632,17 @@ def estimate_ratio(spectral: SpectralData, phi0, cfg: EstimationConfig,
         gse = estimate_gse(spectral, phi0, cfg, nu=nu, approx=gse_approx,
                            law=item.gse)
         x_good = good_point(gse.intermediate["x_star"], spectral.tau, gamma,
-                            epsilon=gamma / 8.0)
+                            epsilon=gamma / 6.0)  # (4/3) delta_gse / tau
         budget = gse.budget
         inter.update(gse.intermediate)
+        inter["delta_gse"] = gse_approx.delta
     p0_bar = estimate_overlap(spectral, phi0, x_good, cfg, approx=approx, nu=nu,
                               budget=budget, law=item.overlap)
     if p0_bar <= 0.0:
         raise EstimationError(f"overlap estimate {p0_bar} is not positive")
     n_g, k = _stage_schedule(approx, cfg, nu, real=True)
-    inter.update({"x_good": x_good, "p0_bar": p0_bar, "d_prop": approx.d,
+    inter.update({"x_good": x_good, "p0_bar": p0_bar,
+                  "delta_prop": approx.delta, "d_prop": approx.d,
                   "n_g": n_g, "k_overlap": k,
                   "total_weight_prop": approx.total_weight})
     p_lo = min(1.0, max(cfg.eta, p0_bar - 9.0 * cfg.eta * cfg.epsilon / 32.0))

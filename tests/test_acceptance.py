@@ -16,7 +16,7 @@ from gspe import (EstimationConfig, build_operator, diagonalize, embed_block,
                   estimate_gsprop_commutative, estimate_gsprop_general)
 from gspe import cli
 from gspe.applications import LinearSystemInstance, build_hg, qlss_estimate
-from gspe.estimators import acdf_2d_exact
+from gspe.estimators import acdf_2d_exact, property_delta
 from gspe.fourier import (COEFF_DECAY_CONSTANT, build_fourier_approx,
                           evaluate_coefficients)
 from gspe.hadamard import (block_circuit_distribution,
@@ -374,7 +374,7 @@ def test_criterion_9_good_point_two_time_bias():
             s.ground_state(), rng.normal(size=4) + 1j * rng.normal(size=4), 0.6)
         o_mat = random_hermitian(rng, 4, norm=1.0)
         budget = eta * epsilon
-        approx = build_fourier_approx(s.tau * s.gap / 5.0, budget)
+        approx = build_fourier_approx(property_delta(s.tau, s.gap), budget)
         x_good = s.tau * (s.eigenvalues[0] + s.gap / 2.0)
         acdf_val = acdf_2d_exact(approx, s, phi0, o_mat, x_good, x_good)
         jump = weighted_cdf_2d(s, phi0, o_mat,

@@ -17,10 +17,10 @@ from gspe.estimators import (COMMUTATION_TOL, EstimationError, PreconditionError
                              bracket_iterations, certify, certify_schedule,
                              expectation_table_1d, expectation_table_2d,
                              EvolutionBudget, block_norm_table, g2_estimator,
-                             batch_means, g_estimator, invert_cdf,
-                             mom_schedule, sample_J, sample_j_batch,
-                             sample_j_counts, group_means)
-from gspe.fourier import FourierApprox, build_fourier_approx
+                             batch_means, g_estimator, gse_delta, invert_cdf,
+                             mom_schedule, property_delta, sample_J,
+                             sample_j_batch, sample_j_counts, group_means)
+from gspe.fourier import MAX_DELTA, FourierApprox, build_fourier_approx
 from gspe.hadamard import (SAMPLE_BLOCK, draw_block_xy, observable,
                            outcome_distribution_1d, outcome_law, sample_blocks)
 from gspe.seeding import stage_rng
@@ -350,9 +350,9 @@ def test_1rdm_stage_replays_public_draws(variant2q, rng, p, q):
     cfg = EstimationConfig(epsilon=0.1, eta=0.4, nu=0.1, seed=43, n_g=n_g, k=k)
     report = estimate_1rdm_entry(s, phi0, p, q, cfg)
     inter = report.intermediate
-    a = build_fourier_approx(s.tau * inter["gamma"] / 5.0,
+    a = build_fourier_approx(property_delta(s.tau, inter["gamma"]),
                              cfg.eta * (cfg.epsilon / 4.0) / 8.0)
-    assert a.d == inter["d_prop"]
+    assert (a.delta, a.d) == (inter["delta_prop"], inter["d_prop"])
     x = inter["x_good"]
     lead = a.total_weight * a.kernel(x)
     combos = [(1.0, 2 * p, 2 * q), (-1j, 2 * p + 1, 2 * q),
@@ -578,6 +578,55 @@ def test_invert_cdf_two_levels():
 def test_bracket_iteration_bound(delta):
     assert bracket_iterations(delta) <= \
         math.ceil(math.log2((2 * math.pi / 3) / delta)) + 2
+
+
+@pytest.mark.parametrize("policy", ["random", "right", "left"])
+def test_bisection_accuracy_is_four_thirds_delta(monkeypatch, policy):
+    """An adversarial Certify that keeps to its evidence semantics (0 where
+    x >= x0 + delta, 1 where x < x0 - delta, either answer in between)
+    drives the search past delta from the crossing x0, but never past
+    (4/3) delta."""
+    delta = 0.05
+    rng = np.random.default_rng(5)
+    choose = {"random": lambda: int(rng.integers(2)), "right": lambda: 1,
+              "left": lambda: 0}[policy]
+
+    def vote(approx, sums, x, eta, n_s):
+        if x >= x0 + delta:
+            return 0
+        if x < x0 - delta:
+            return 1
+        return choose()
+
+    monkeypatch.setattr(estimators, "_certify_sums", vote)
+    errors = []
+    for x0 in np.linspace(-math.pi / 3, math.pi / 3, 1001):
+        errors.append(abs(estimators._invert_sums(None, None, 0.5, delta, 1) - x0))
+    assert max(errors) <= 4.0 / 3.0 * delta
+    assert max(errors) > 1.1 * delta
+
+
+def test_property_delta_is_the_good_point_margin_below_its_cap():
+    """delta_prop = tau*gamma/3 wherever that is at most 0.8 MAX_DELTA, and
+    over the whole range of tau*gamma it lies in [tau*gamma/5, MAX_DELTA),
+    so the Fourier construction takes it and no degree grows past the one
+    at tau*gamma/5."""
+    tau = 0.7
+    capped = 0
+    for tau_gamma in np.linspace(1e-3, 2 * math.pi / 3, 401):
+        gamma = tau_gamma / tau
+        delta = property_delta(tau, gamma)
+        assert tau * gamma / 5.0 <= delta < MAX_DELTA
+        if tau * gamma / 3.0 <= 0.8 * MAX_DELTA:
+            assert delta == tau * gamma / 3.0
+        else:
+            capped += 1
+            assert delta == 0.8 * MAX_DELTA
+    assert capped > 0
+    # a one-qubit Z has tau*gamma = 2 pi/3: its margin 2 pi/9 exceeds MAX_DELTA
+    s = diagonalize(build_operator([(1.0, "Z")]))
+    assert s.tau * s.gap / 3.0 > MAX_DELTA
+    assert build_fourier_approx(property_delta(s.tau, s.gap), 0.01).d > 0
 
 
 # --- EstimateGSE ------------------------------------------------------------------
@@ -891,7 +940,8 @@ def test_weighted_schedule_follows_the_shot_bound(variant2q, rng, pipeline):
         report = qlss_estimate(inst, np.diag([1.0, -1.0]), cfg.epsilon, cfg.nu,
                                eta=cfg.eta, alpha=1.5, seed=cfg.seed)
         inter = report.intermediate
-        w = build_fourier_approx(inter["tau"] * inter["gamma"] / 5.0,
+        assert inter["delta_prop"] == property_delta(inter["tau"], inter["gamma"])
+        w = build_fourier_approx(inter["delta_prop"],
                                  cfg.eta * (cfg.epsilon / 4.0) / 8.0).total_weight
         n_o, k_o = mom_schedule(1.5 * w ** 2, cfg.eta, cfg.epsilon / 4.0,
                                 cfg.nu / 2.0)
@@ -948,9 +998,12 @@ def test_weighted_stage_is_sized_by_the_overlap_floor(variant2q, rng, monkeypatc
     inter = report.intermediate
     assert inter["p0_bar"] == p0_bar
     assert inter["p_lo"] == pytest.approx(p_lo, abs=1e-15)
-    w = build_fourier_approx(s.tau * s.gap / 5.0, 0.4 * 0.1 / 32.0).total_weight
+    assert inter["delta_prop"] == property_delta(s.tau, s.gap)
+    assert inter["delta_gse"] == gse_delta(s.tau, s.gap)
+    w = build_fourier_approx(property_delta(s.tau, s.gap),
+                             0.4 * 0.1 / 32.0).total_weight
     n_gse = math.prod(certify_schedule(inter["total_weight_gse"], 0.4, 0.1 / 3.0,
-                                       s.tau * s.gap / 8.0))
+                                       gse_delta(s.tau, s.gap)))
     n_o, k_o = mom_schedule(1.5 * w ** 2, 0.4, 0.1 / 4.0, 0.1 / 3.0)
     n_g, k = mom_schedule(1.5 * w ** 4, p_lo, 0.1 / 4.0, 0.1 / 3.0)
     assert (inter["n_g"], inter["k_overlap"], inter["k_weighted"]) == (n_o, k_o, k)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe.applications import KERNEL_TOL, build_gap_amplified
+from gspe.estimators import gse_delta, property_delta
 from gspe.fourier import (CHECK_GRID, COEFF_DECAY_CONSTANT, RANGE_TOL,
                           FourierConstructionError, _circle_grid,
                           _construction_is_valid, _end_values,
@@ -294,8 +295,9 @@ def _qlss_kappa4():
     levels = np.abs(spectral.eigenvalues)
     gamma = levels[levels > KERNEL_TOL].min()
     eta = 0.8 * cfg["qlss"]["overlap"]
-    # property approximant: delta = tau * gamma / 5, budget eta * epsilon / 32
-    return [(spectral.tau * gamma / 5.0, eta * cfg["epsilon"] / 32.0, 166)]
+    # property approximant at its delta, budget eta * epsilon / 32
+    return [(property_delta(spectral.tau, gamma), eta * cfg["epsilon"] / 32.0,
+             100)]
 
 
 def _sweep_gamma():
@@ -303,11 +305,11 @@ def _sweep_gamma():
     eta, epsilon = cfg["eta"], cfg["epsilon"]
     pairs = []
     for gamma, d_gse, d_prop in zip(cfg["sweep"]["gamma"], (180, 90, 46),
-                                    (196, 98, 49)):
+                                    (116, 58, 29)):
         tau = diagonalize(parse_synthetic(cfg["instance"], gamma)[0]).tau
-        # GSE at accuracy gamma / 8, then the property approximant
-        pairs += [(tau * gamma / 8.0, eta / 8.0, d_gse),
-                  (tau * gamma / 5.0, eta * epsilon / 32.0, d_prop)]
+        # the GSE approximant, then the property approximant
+        pairs += [(gse_delta(tau, gamma), eta / 8.0, d_gse),
+                  (property_delta(tau, gamma), eta * epsilon / 32.0, d_prop)]
     return pairs
 
 
@@ -320,8 +322,8 @@ def _ensemble_10q():
              + [(-0.1, word({0: "Z"}))])
     spectral = diagonalize(build_operator(terms))
     gamma = spectral.gap
-    return [(spectral.tau * gamma / 8.0, eta / 8.0, 342),
-            (spectral.tau * gamma / 5.0, eta * epsilon / 32.0, 386)]
+    return [(gse_delta(spectral.tau, gamma), eta / 8.0, 342),
+            (property_delta(spectral.tau, gamma), eta * epsilon / 32.0, 234)]
 
 
 @pytest.mark.parametrize("workload", [_tfim3_gse, _qlss_kappa4, _sweep_gamma,
