@@ -18,7 +18,7 @@ from . import estimators, hadamard
 from .estimators import EstimateReport, EstimationConfig, PreconditionError
 from .pauli import PauliString, multiply_strings
 from .seeding import stage_rng
-from .spectral import (SpectralData, diagonalize, hermitian_eigh, mixed_with_noise,
+from .spectral import (SpectralData, diagonalize, evolve, mixed_with_noise,
                        normalized)
 
 KERNEL_TOL = 1e-8
@@ -156,19 +156,19 @@ def prepare_initial_state(inst: LinearSystemInstance, spectral: SpectralData,
     """
     target = qlss_target_state(inst)
     if mode == "oracle":
-        positive = spectral.eigenvectors[:, spectral.eigenvalues > KERNEL_TOL]
-        coeffs = rng.normal(size=positive.shape[1]) \
-            + 1j * rng.normal(size=positive.shape[1])
-        return mixed_with_noise(target, positive @ coeffs, overlap)
+        positive = spectral.eigenvalues > KERNEL_TOL
+        size = int(np.count_nonzero(positive))
+        coeffs = np.zeros(spectral.dim, dtype=complex)
+        coeffs[positive] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return mixed_with_noise(target, spectral.from_eigenbasis(coeffs), overlap)
     if mode == "schedule":
         zero = np.array([1.0, 0.0])
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
         state = np.kron(zero, np.kron(minus, normalized(inst.b)))
         for step in range(1, SCHEDULE_STEPS + 1):
             hbar_s = build_gap_amplified(inst.a, inst.b, step / SCHEDULE_STEPS)
-            evals, evecs = hermitian_eigh(hbar_s)
-            state = evecs @ (np.exp(-1j * SCHEDULE_STEP_TIME * evals)
-                             * (evecs.conj().T @ state))
+            state = evolve(diagonalize(hbar_s, require_unique_ground_state=False),
+                           state, SCHEDULE_STEP_TIME)
         achieved = float(np.abs(target.conj() @ state) ** 2)
         if achieved < OVERLAP_FLOOR:
             raise PreconditionError(

@@ -64,7 +64,7 @@ def _load_instance(config: dict, seed: int, gamma: float | None = None):
     if kind == "synthetic":
         operator, weights = serialization.parse_synthetic(spec, gamma)
         spectral = diagonalize(operator)
-        phi0 = spectral.eigenvectors @ np.sqrt(weights).astype(complex)
+        phi0 = spectral.from_eigenbasis(np.sqrt(weights).astype(complex))
         return spectral, phi0
     if kind == "pauli":
         spectral = diagonalize(serialization.parse_operator(spec, "instance"))
@@ -164,7 +164,7 @@ def _initial_state(config: dict, spectral, seed: int):
                 or weights.min() < 0.0:
             raise ConfigError("initial_state: overlaps must be nonnegative, sum "
                               "to 1 and match the instance dimension")
-        return spectral.eigenvectors @ np.sqrt(weights).astype(complex)
+        return spectral.from_eigenbasis(np.sqrt(weights).astype(complex))
     raise ConfigError(f"initial_state: unknown type {kind!r}")
 
 

@@ -170,13 +170,12 @@ def sample_j_batch(approx: FourierApprox, size: int, rng) -> np.ndarray:
     """Draw j with Pr[J = j] = |c_j| / total_weight (alias method)."""
     if approx.total_weight <= 0.0:
         raise EstimationError("total Fourier weight must be positive")
-    accept, alias = approx.alias_tables
+    accept, _ = approx.alias_tables
     cell = rng.integers(0, accept.size, size=size)
     keep = rng.random(size) < accept.take(cell)
-    # pick[cell] is the alias of cell, pick[cell + n] the cell itself, both as j
-    pick = np.concatenate((alias, np.arange(accept.size))) - approx.d
-    np.add(cell, accept.size, out=cell, where=keep)
-    return pick.take(cell)
+    cell <<= 1
+    cell += keep  # 2c + 1 for a kept draw: the cell itself
+    return approx.alias_picks.take(cell)
 
 
 def sample_j_counts(approx: FourierApprox, size: int, rng) -> np.ndarray:
@@ -264,12 +263,16 @@ def _pool_sums(approx: FourierApprox, law: np.ndarray, n_groups: int,
     per shot (two-time only), then X, then Y per shot from the law at the
     shot's flat cell, j + d or (j' + d)(2d + 1) + (j + d), and adds each run
     of equal last index into S.  So nothing of a group's size is allocated.
+    A two-time shot is charged (|j'| + |j|) tau, gathered at its flat cell
+    from a table built once per pool.
     """
     d = approx.d
     width = 2 * d + 1
     two_time = law.ndim == 3
     law = law.reshape(-1, law.shape[-1])  # a row per flat cell; a view
     steps = np.abs(approx.js)
+    if two_time:  # (|j'| + |j|) tau by flat cell
+        pair_times = (steps[:, None] + steps).reshape(-1) * tau
     sums = np.zeros((n_groups, width), dtype=complex)
     for group in sums:
         counts = sample_j_counts(approx, group_size, rng)
@@ -284,9 +287,9 @@ def _pool_sums(approx: FourierApprox, law: np.ndarray, n_groups: int,
             cells = np.repeat(last, sizes[last])
             if two_time:
                 first = sample_j_batch(approx, chunk.stop - chunk.start, rng) + d
-                budget.add_times((steps.take(first) + steps.take(cells)) * tau)
                 cells *= width
                 cells += first
+                budget.add_times(pair_times.take(cells))
             zs = hadamard.draw_block_xy(law, cells, alpha, rng)
             if two_time:
                 zs *= lead.take(first)
@@ -422,7 +425,10 @@ def estimate_gse(spectral: SpectralData, phi0, cfg: EstimationConfig, *,
 
     The Heaviside approximant (by default at delta = tau * epsilon with budget
     eta/8) sets the search resolution delta; the shared (J, Z) pool is drawn
-    once into per-batch sums, which the Certify binary search inverts.
+    once into per-batch sums, which the Certify binary search inverts.  The
+    search lands within (4/3) delta of the crossing (:func:`_invert_sums`),
+    so at the default delta the value is within (4/3) epsilon of lambda_0,
+    not epsilon, with probability at least 1 - nu.
     ``law`` is the estimate's law of :func:`expectation_table_1d` at the
     approximant's degree (:attr:`hadamard.OracleTables.gse`), when it has one.
     """
@@ -682,12 +688,13 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
     """Property pipeline for a unitary observable commuting with H.
 
     ||H O - O H||_F is read in the eigenbasis, where V^H [H, O] V has entries
-    (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed; V^H O V comes
-    from :func:`hadamard.two_time`, which holds no conjugate copy of V.
+    (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed; V^H O V is
+    formed from V = V I by the eigenbasis maps of ``spectral``.
     """
     obs = _unitary_observable(o_operator, spectral.dim)
-    lam, v = spectral.eigenvalues, spectral.eigenvectors
-    comm = np.linalg.norm((lam[:, None] - lam) * hadamard.two_time(v, obs.apply(v)))
+    lam = spectral.eigenvalues
+    v = spectral.from_eigenbasis(np.eye(lam.size))
+    comm = np.linalg.norm((lam[:, None] - lam) * spectral.to_eigenbasis(obs.apply(v)))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
     return estimate_ratio(spectral, phi0, cfg, [obs], one_time=True)

@@ -23,6 +23,8 @@ COEFF_DECAY_CONSTANT = 2.0 / math.pi
 RANGE_TOL = 1e-9
 DEGREE_CAP = 50_000
 CHECK_GRID = 2 ** 16  # validity-check grid, refined only for degrees >= 2^15
+COARSE_GRID = 2 ** 12  # every 16th point of CHECK_GRID, the same floats
+COARSE_SLACK = 1e-12  # far above the ~1e-15 gap between the two syntheses
 
 
 class FourierConstructionError(ValueError):
@@ -136,6 +138,13 @@ class FourierApprox:
         return np.abs(self.coefficients)
 
     @cached_property
+    def alias_picks(self) -> np.ndarray:
+        """J of an alias draw by index: entry 2c holds the alias of cell c
+        and entry 2c + 1 cell c itself, both as j = cell - d."""
+        _, alias = self.alias_tables
+        return np.stack((alias, np.arange(alias.size)), axis=1).reshape(-1) - self.d
+
+    @cached_property
     def alias_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Vose alias tables (accept, alias) over the cells j + d of
         Pr[J = j] = |c_j| / total_weight, built on first use."""
@@ -239,8 +248,11 @@ def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float) -> 
     within 0.98 epsilon on the plateau [delta, pi - delta] and the trough
     [-pi + delta, -delta], on the grid and at their four end points.
 
-    The four end points cost a 4 x d product, so they are tested first; the
-    plateau and the trough are index ranges of the ascending grid."""
+    The four end points cost a 4 x d product, so they are tested first.
+    Then the COARSE_GRID grid, whose points are points of the check grid,
+    rejects a construction that misses a bound there by more than
+    COARSE_SLACK, which the check grid would also reject; any other goes on
+    to the check grid itself."""
     # 2% slack so the coarser 20001-point acceptance grids stay below epsilon
     budget = 0.98 * epsilon
     ends = _end_values(coeffs, delta)
@@ -249,15 +261,27 @@ def _construction_is_valid(coeffs: np.ndarray, delta: float, epsilon: float) -> 
         return False
     d = (coeffs.size - 1) // 2
     n_grid = CHECK_GRID if CHECK_GRID > 2 * d else _exact_grid_size(d)
+    if 2 * d < COARSE_GRID < n_grid and not _within_bounds(
+            coeffs, delta, budget, COARSE_GRID, COARSE_SLACK):
+        return False
+    return _within_bounds(coeffs, delta, budget, n_grid)
+
+
+def _within_bounds(coeffs: np.ndarray, delta: float, budget: float, n_grid: int,
+                   slack: float = 0.0) -> bool:
+    """The range and the plateau and trough errors of
+    :func:`_construction_is_valid` on the n_grid-point grid, each bound
+    widened by ``slack``; the plateau and the trough are index ranges of
+    the ascending grid."""
     x, values = _synthesize_on_circle(coeffs, n_grid)
-    if values.min() < -RANGE_TOL or values.max() > 1.0 + RANGE_TOL:
+    if values.min() < -RANGE_TOL - slack or values.max() > 1.0 + RANGE_TOL + slack:
         return False
     plateau = slice(np.searchsorted(x, delta, side="left"),
                     np.searchsorted(x, math.pi - delta, side="right"))
     trough = slice(np.searchsorted(x, -math.pi + delta, side="left"),
                    np.searchsorted(x, -delta, side="right"))
-    return (np.abs(values[plateau] - 1.0).max() <= budget
-            and np.abs(values[trough]).max() <= budget)
+    return (np.abs(values[plateau] - 1.0).max() <= budget + slack
+            and np.abs(values[trough]).max() <= budget + slack)
 
 
 def degree_for(delta: float, epsilon: float) -> int:

@@ -99,10 +99,11 @@ class Observable:
     values: np.ndarray | None = None
 
     def apply(self, states: np.ndarray) -> np.ndarray:
-        """O @ states for a block of state columns."""
+        """O @ states for a block of state columns, real or complex."""
         if self.columns is None:
             return self.matrix @ states
-        moved = states[self.columns]
+        moved = states[self.columns].astype(np.result_type(states, self.values),
+                                            copy=False)
         moved *= self.values[:, None]
         return moved
 
@@ -228,17 +229,18 @@ def _phase_rows(spectral: SpectralData, d: int, phases) -> np.ndarray:
 def _observable_weights(spectral: SpectralData, phi0, o_matrix) -> np.ndarray:
     """w_k = <phi0|O|k><k|phi0>, the weights of <phi0| O e^{-i j tau H} |phi0>.
 
-    <phi0|O|k> is entry k of phi0^H O V, so neither O nor V is conjugated."""
+    <phi0|O|k> is the conjugate of entry k of V^H O^H phi0, and O^H phi0 is
+    conj(phi0^H O), so O is never conjugated."""
     phi0 = as_state(phi0, dim=spectral.dim)
     o_mat = as_matrix(o_matrix, spectral.dim)
     a = spectral.to_eigenbasis(phi0)
-    return ((phi0.conj() @ o_mat) @ spectral.eigenvectors) * a
+    return spectral.to_eigenbasis((phi0.conj() @ o_mat).conj()).conj() * a
 
 
 def _evolved_states(spectral: SpectralData, phi0, phases: np.ndarray) -> np.ndarray:
     """Column c holds e^{-i t_c H} phi0 for the phase rows e^{-i t_c lambda_k}."""
-    a = spectral.to_eigenbasis(phi0)
-    return spectral.eigenvectors @ (phases * a[None, :]).T
+    a = spectral.to_eigenbasis(as_state(phi0, dim=spectral.dim))
+    return spectral.from_eigenbasis((phases * a[None, :]).T)
 
 
 TWO_TIME_ROWS = 512  # bras conjugated at a time: 8 MB of them at dim 1024
@@ -499,8 +501,10 @@ def embed_block(operator, alpha: float | None = None) -> BlockEncoding:
 
 
 def _system_propagator(spectral: SpectralData, t: float) -> np.ndarray:
-    v = spectral.eigenvectors
-    return (v * np.exp(-1j * t * spectral.eigenvalues)) @ v.conj().T
+    """e^{-iHt} = V e^{-it Lambda} V^H."""
+    phases = np.exp(-1j * t * spectral.eigenvalues)
+    return spectral.from_eigenbasis(
+        phases[:, None] * spectral.to_eigenbasis(np.eye(spectral.dim)))
 
 
 def block_circuit_distribution(spectral, phi0, block: BlockEncoding,

@@ -7,9 +7,11 @@ exact spectral norm.  The gap is recorded on the *unnormalized* spectrum.
 Every eigensolve goes through :func:`hermitian_eigh`: a real symmetric
 matrix (a Pauli sum whose terms each hold an even number of Y, such as the
 TFIMs, or the gap-amplified linear-system Hamiltonian) is solved in real
-arithmetic.  The eigenvector matrix V is always complex128, and
-real-valued when H is real, so the tables and the evolution have one code
-path.
+arithmetic and keeps a float64 eigenvector matrix V; any other H keeps a
+complex128 V.  Only :meth:`SpectralData.to_eigenbasis` (V^H x) and
+:meth:`SpectralData.from_eigenbasis` (V c) depend on that dtype: on a real
+V they form a complex x or c as two real products, never a complex copy of
+V, so every caller has one code path.
 """
 from __future__ import annotations
 
@@ -39,8 +41,10 @@ class SpectralData:
     """Exact eigensystem of a Hermitian operator plus its normalization.
 
     eigenvalues : ascending, unnormalized
-    eigenvectors : unitary complex128 matrix, k-th column is the k-th
-        eigenvector; real-valued when H is real (see :func:`hermitian_eigh`)
+    eigenvectors : V, unitary, k-th column is the k-th eigenvector; float64
+        when H is real, complex128 otherwise (see :func:`hermitian_eigh`).
+        Read it through :meth:`to_eigenbasis` and :meth:`from_eigenbasis`,
+        the only readers that depend on its dtype.
     gap : lambda_1 - lambda_0 (unnormalized)
     tau : scale factor with tau * max|lambda_k| = pi/3
 
@@ -69,12 +73,45 @@ class SpectralData:
         return self.tau * self.eigenvalues
 
     def ground_state(self) -> np.ndarray:
-        return self.eigenvectors[:, 0].copy()
+        return self.eigenvectors[:, 0].astype(complex)
 
-    def to_eigenbasis(self, vec: np.ndarray) -> np.ndarray:
-        """V^H vec, formed as conj(vec^H V): no conjugate copy of V."""
-        vec = as_state(vec, dim=self.dim)
-        return (vec.conj() @ self.eigenvectors).conj()
+    def to_eigenbasis(self, x) -> np.ndarray:
+        """V^H x for a vector or a block of columns x.
+
+        A complex V forms it as (x^H V)^H, with no conjugate copy of V; a
+        real V as V^T x, by :func:`_real_product`."""
+        x = self._columns(x)
+        v = self.eigenvectors
+        if np.iscomplexobj(v):
+            return (x.conj().T @ v).conj().T
+        return _real_product(v.T, x)
+
+    def from_eigenbasis(self, c) -> np.ndarray:
+        """V c for a vector or a block of columns c of eigenbasis
+        coefficients; a real V forms it by :func:`_real_product`."""
+        c = self._columns(c)
+        v = self.eigenvectors
+        return v @ c if np.iscomplexobj(v) else _real_product(v, c)
+
+    def _columns(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[:1] != (self.dim,):
+            raise DimensionMismatchError(f"operand has shape {x.shape}, "
+                                         f"expected {self.dim} rows")
+        return x
+
+
+def _real_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """real @ x for a real matrix: a complex x as one product on its real
+    part and one on its imaginary part, each made contiguous for BLAS, so
+    ``real`` is never cast to complex (a mixed product would cast all of
+    it) and the flops are half those of the complex product."""
+    if not np.iscomplexobj(x):
+        return real @ x
+    out = np.empty(real.shape[:1] + x.shape[1:], dtype=complex)
+    out.real = real @ np.ascontiguousarray(x.real)
+    out.imag = real @ np.ascontiguousarray(x.imag)
+    return out
 
 
 HERMITIAN_TOL = 1e-12  # ||A - A^H||_F relative to max(1, ||A||_F)
@@ -91,25 +128,31 @@ def hermitian_eigh(mat: np.ndarray, *, vectors: bool = True,
                    error: type[Exception] = ValueError,
                    message: str = "operator is not Hermitian"):
     """Ascending eigenvalues of the Hermitian ``mat`` and, with ``vectors``,
-    its unitary eigenvector matrix V as complex128; ``error(message)`` when
-    ``mat`` fails :func:`within_hermitian_tol`.
+    its unitary eigenvector matrix V; ``error(message)`` when ``mat`` fails
+    :func:`within_hermitian_tol`.
 
     Every eigensolve of the package goes through here.  A matrix whose
-    imaginary part is exactly zero is real symmetric and is solved in real
-    arithmetic, several times faster than the complex solve at dim 1024
-    and with no complex LAPACK workspace; V is then real-valued, cast to
-    complex128, so callers keep one code path.  Any other matrix takes the
-    complex solve.
+    imaginary part is exactly zero is real symmetric (:func:`_real_if_real`)
+    and is solved in real arithmetic, several times faster than the complex
+    solve at dim 1024 and with no complex LAPACK workspace; V is then
+    float64, half the memory of complex128.  Any other matrix takes the
+    complex solve and gives a complex128 V.
     """
-    if not mat.imag.any():
-        mat = mat.real
+    mat = _real_if_real(mat)
     if not within_hermitian_tol(np.linalg.norm(mat - mat.conj().T),
                                 np.linalg.norm(mat)):
         raise error(message)
     if not vectors:
         return np.linalg.eigvalsh(mat)
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    return eigenvalues, eigenvectors.astype(complex, copy=False)
+    return np.linalg.eigh(mat)
+
+
+def _real_if_real(mat: np.ndarray) -> np.ndarray:
+    """A contiguous float64 copy of ``mat`` when it is complex with an
+    imaginary part that is exactly zero; ``mat`` itself otherwise."""
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        return np.ascontiguousarray(mat.real)
+    return mat
 
 
 def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
@@ -118,7 +161,9 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
 
     Fails on a degenerate ground space unless
     ``require_unique_ground_state=False`` (the linear-system pipeline relies
-    on that escape hatch; see applications).  The eigenvalues and
+    on that escape hatch; see applications).  A real H is handed to the
+    solver as a float64 matrix and its complex dense matrix is dropped
+    first, so the two are never held beside the solve.  The eigenvalues and
     eigenvectors come back read-only.
     """
     if isinstance(H, PauliOperator):
@@ -129,6 +174,7 @@ def diagonalize(H, degeneracy_tolerance: float = 1e-8, *,
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     n_qubits = int(round(math.log2(mat.shape[0])))
     check_dense_size(n_qubits)
+    mat = _real_if_real(mat)
     eigenvalues, eigenvectors = hermitian_eigh(mat)
     for array in (eigenvalues, eigenvectors):
         array.flags.writeable = False
@@ -163,14 +209,15 @@ def normalized(vec) -> np.ndarray:
 
 def overlaps(phi0, spectral: SpectralData) -> np.ndarray:
     """Eigenbasis weights ``p_k = |<phi0|psi_k>|^2``; they sum to one."""
-    amps = spectral.to_eigenbasis(phi0)
+    amps = spectral.to_eigenbasis(as_state(phi0, dim=spectral.dim))
     return np.abs(amps) ** 2
 
 
 def evolve(spectral: SpectralData, phi, t: float) -> np.ndarray:
     """Exact time evolution ``exp(-i t H) phi`` through the eigensystem."""
     phases = np.exp(-1j * t * spectral.eigenvalues)
-    return spectral.eigenvectors @ (phases * spectral.to_eigenbasis(phi))
+    amps = spectral.to_eigenbasis(as_state(phi, dim=spectral.dim))
+    return spectral.from_eigenbasis(phases * amps)
 
 
 def mixed_with_noise(target, noise, overlap: float) -> np.ndarray:
@@ -211,9 +258,9 @@ def weighted_cdf_2d(spectral: SpectralData, phi0, o_matrix, x, y) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    amps = spectral.to_eigenbasis(phi0)
-    o_eig = spectral.eigenvectors.conj().T @ np.asarray(o_matrix, dtype=complex) \
-        @ spectral.eigenvectors
+    amps = spectral.to_eigenbasis(as_state(phi0, dim=spectral.dim))
+    o_eig = spectral.to_eigenbasis(np.asarray(o_matrix, dtype=complex)
+                                   @ spectral.from_eigenbasis(np.eye(spectral.dim)))
     pos = spectral.scaled_eigenvalues
     mask_x = (pos[None, :] <= x[:, None]).astype(float)   # (nx, K)
     mask_y = (pos[None, :] <= y[:, None]).astype(float)   # (ny, K)

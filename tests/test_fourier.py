@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gspe.applications import KERNEL_TOL, build_gap_amplified
 from gspe.estimators import gse_delta, property_delta
-from gspe.fourier import (CHECK_GRID, COEFF_DECAY_CONSTANT, RANGE_TOL,
+from gspe.fourier import (CHECK_GRID, COARSE_GRID, COEFF_DECAY_CONSTANT, RANGE_TOL,
                           FourierConstructionError, _circle_grid,
                           _construction_is_valid, _end_values,
                           _synthesize_on_circle,
@@ -251,6 +251,8 @@ VALIDITY_CASES = [
     ((252, 0.05, 0.01), (0.05, 0.01), 0.0, []),
     ((415, 0.02, 0.001), (0.02, 0.001), 0.0, ["range"]),
     ((126, 0.05, 0.01), (0.05, 0.0056), 0.0, ["plateau"]),
+    # plateau error 0.0059695 on the check grid, 0.0059662 on the coarse one
+    ((126, 0.05, 0.01), (0.05, 0.00609), 0.0, ["plateau"]),
     ((252, 0.05, 0.01), (0.05, 0.01), 0.02, ["trough"]),
     ((126, 0.05, 0.01), (0.025, 0.0875), 0.0, ["ends"]),
     ((126, 0.05, 0.01), (0.05, 0.004), 0.0, ["plateau", "ends"]),
@@ -268,6 +270,10 @@ def test_validity_check_matches_the_mask_formula(built, checked, bump, failing):
     verdicts = _mask_verdicts(coeffs, *checked)
     assert [name for name, ok in verdicts.items() if not ok] == failing
     assert _construction_is_valid(coeffs, *checked) == all(verdicts.values())
+
+
+def test_coarse_grid_is_every_16th_point_of_the_check_grid():
+    assert np.array_equal(_circle_grid(COARSE_GRID), _circle_grid(CHECK_GRID)[::16])
 
 
 def test_check_grid_is_built_once_and_read_only():

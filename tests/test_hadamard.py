@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from gspe import PauliString, SpectralData, build_operator, diagonalize, embed_block
-from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
+from gspe import (EstimationConfig, PauliString, SpectralData, build_operator,
+                  diagonalize, embed_block, estimators)
+from gspe.estimators import PreconditionError, estimate_gsprop_commutative
+from gspe.hadamard import (SAMPLE_BLOCK, TABLE_KINDS, UNITARY_TOL, BlockEncoding,
                            BlockEncodingError, NotUnitaryError,
                            block_circuit_distribution,
                            block_norm_table, block_success_prob,
@@ -18,8 +20,8 @@ from gspe.hadamard import (SAMPLE_BLOCK, UNITARY_TOL, BlockEncoding,
                            expectation_table_O, generalized_circuit_distribution,
                            generalized_second_moment, generalized_variance,
                            outcome_distribution_1d, outcome_distribution_2d,
-                           outcome_distribution_O, outcome_law, observable,
-                           phase_block, require_unitary, sample_blocks,
+                           oracle_tables, outcome_distribution_O, outcome_law,
+                           observable, phase_block, require_unitary, sample_blocks,
                            table_states)
 
 from conftest import (dense_from_terms, kron_word, random_hermitian,
@@ -485,27 +487,76 @@ def test_phase_block_mirrored_rows_equal_direct_exponentials(d):
     assert np.array_equal(phase_block(s, d), direct)
 
 
-def test_real_solve_tables_match_complex_solve(rng):
-    """Tables from the real solve of a real H agree with tables from the
-    complex solve of the same matrix."""
+def test_real_solve_tables_match_complex_solve(rng, monkeypatch):
+    """Tables, norm tables, the laws of every table kind and the commutation
+    check from the real solve of a real H, whose V is float64, agree with
+    those of the complex solve of the same matrix and of the same
+    eigensystem cast to complex128."""
     h = dense_from_terms([(-1.0, "ZZI"), (-1.0, "IZZ"), (-0.7, "XII"),
                           (-0.5, "IXI"), (-0.3, "IIX"), (0.2, "ZII")])
     s = diagonalize(h)
-    assert not s.eigenvectors.imag.any()
+    assert s.eigenvectors.dtype == np.float64
     evals, evecs = np.linalg.eigh(h)  # complex128 input: the complex solve
-    ref = SpectralData(eigenvalues=evals, eigenvectors=evecs,
-                       gap=float(evals[1] - evals[0]),
-                       tau=(math.pi / 3.0) / np.abs(evals).max())
+    solved = SpectralData(eigenvalues=evals, eigenvectors=evecs,
+                          gap=float(evals[1] - evals[0]),
+                          tau=(math.pi / 3.0) / np.abs(evals).max())
+    cast = SpectralData(eigenvalues=s.eigenvalues,
+                        eigenvectors=s.eigenvectors.astype(complex),
+                        gap=s.gap, tau=s.tau)
     phi = random_state(rng, 8)
     o_mat = random_unitary(rng, 8)
+    o_herm = random_hermitian(rng, 8, norm=0.9)
+    # a unitary that commutes with H, and the same one moved off it
+    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+    o_comm = cast.from_eigenbasis(signs[:, None] * cast.to_eigenbasis(np.eye(8)))
+    o_off = o_comm @ kron_word("XII")
+    monkeypatch.setattr(estimators, "estimate_ratio", lambda *args, **kwargs: "run")
+    cfg = EstimationConfig(epsilon=0.1, eta=0.5, nu=0.1, seed=0)
+
+    def commutation(spectral, op):
+        try:
+            return estimate_gsprop_commutative(spectral, phi, op, cfg)
+        except PreconditionError as exc:
+            return str(exc)
+
     d = 9
-    pairs = [(expectation_table_1d(s, phi, d), expectation_table_1d(ref, phi, d)),
-             (expectation_table_O(s, phi, o_mat, d),
-              expectation_table_O(ref, phi, o_mat, d)),
-             (expectation_table_2d(s, phi, o_mat, d),
-              expectation_table_2d(ref, phi, o_mat, d))]
-    for got, want in pairs:
-        assert np.abs(got - want).max() <= 1e-12
+    for ref in (solved, cast):
+        pairs = [(expectation_table_1d(s, phi, d), expectation_table_1d(ref, phi, d)),
+                 (expectation_table_O(s, phi, o_mat, d),
+                  expectation_table_O(ref, phi, o_mat, d)),
+                 (expectation_table_2d(s, phi, o_mat, d),
+                  expectation_table_2d(ref, phi, o_mat, d)),
+                 (block_norm_table(s, phi, o_herm, d),
+                  block_norm_table(ref, phi, o_herm, d))]
+        for kind in TABLE_KINDS:
+            op, alpha = (o_herm, 1.5) if kind == "block" else (o_mat, 1.0)
+            got, want = (next(oracle_tables(spectral, phi, [op], d, d_gse=d + 3,
+                                            kind=kind, alpha=alpha))
+                         for spectral in (s, ref))
+            pairs += [(got.gse, want.gse), (got.overlap, want.overlap),
+                      (got.weighted, want.weighted)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+        for op in (o_comm, PauliString("III")):
+            assert commutation(s, op) == commutation(ref, op) == "run"
+        for op in (o_off, PauliString("YXZ")):
+            assert re.fullmatch(r"observable does not commute with H \(.*\)",
+                                commutation(s, op))
+            assert commutation(s, op) == commutation(ref, op)
+
+
+@pytest.mark.parametrize("op", [PauliString("YXZ"), PauliString("XZI"),
+                                random_unitary(np.random.default_rng(3), 8)],
+                         ids=["permutation-complex", "permutation-real", "dense"])
+def test_observable_applies_to_float64_states(op):
+    """O applied to float64 columns (as a real V gives) is O applied to the
+    same columns cast to complex128, bit for bit."""
+    states = np.random.default_rng(5).normal(size=(8, 6))
+    obs = observable(op, 8)
+    got = obs.apply(states)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == obs.apply(states.astype(complex)).tobytes()
 
 
 def test_embed_block_real_operator_matches_complex_solve():

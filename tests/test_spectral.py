@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe import build_operator, diagonalize, evolve, overlaps
-from gspe.spectral import (DegenerateGroundSpaceError, as_state, exact_cdf,
-                           hermitian_eigh, mixed_with_noise, weighted_cdf_2d,
+from gspe.spectral import (DegenerateGroundSpaceError, DimensionMismatchError,
+                           SpectralData, as_state, exact_cdf, hermitian_eigh,
+                           mixed_with_noise, weighted_cdf_2d,
                            weighted_cdf_commuting)
 
 from conftest import TFIM3_TERMS, dense_from_terms, random_state
@@ -98,6 +100,31 @@ def test_diagonalize_solves_in_the_matrix_arithmetic(monkeypatch, path):
     assert seen == [solved]
 
 
+def test_real_solve_is_handed_a_contiguous_real_h_alone(monkeypatch):
+    """The solver of a real H gets a C-contiguous float64 matrix, and the
+    complex dense matrix it came from is freed before the solve starts."""
+    n = 8
+    terms = ([(-1.0, "I" * q + "ZZ" + "I" * (n - q - 2)) for q in range(n - 1)]
+             + [(-0.7, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)])
+    operator = build_operator(terms)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append((a.dtype, a.flags.c_contiguous, tracemalloc.get_traced_memory()[0]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    tracemalloc.start()
+    try:
+        diagonalize(operator)
+    finally:
+        tracemalloc.stop()
+    [(dtype, contiguous, held)] = seen
+    assert dtype == np.float64 and contiguous
+    assert held < 16 * 4 ** n  # below one complex128 dim x dim matrix
+
+
 @pytest.mark.parametrize("path", list(SOLVE_PATHS))
 def test_diagonalize_matches_complex_solve_on_both_paths(path):
     terms, _ = SOLVE_PATHS[path]
@@ -106,11 +133,37 @@ def test_diagonalize_matches_complex_solve_on_both_paths(path):
     ref = np.linalg.eigh(mat)[0]  # complex128 input: the complex solve
     assert np.abs(s.eigenvalues - ref).max() <= 1e-12
     v = s.eigenvectors
-    assert v.dtype == np.complex128
+    assert v.dtype == (np.float64 if path == "real" else np.complex128)
     assert np.linalg.norm(v.conj().T @ v - np.eye(s.dim)) <= 1e-12
     assert np.linalg.norm(mat @ v - v * s.eigenvalues) <= 1e-12
     if path == "real":
         assert not v.imag.any()
+
+
+@pytest.mark.parametrize("shape", [(256,), (256, 9)], ids=["vector", "block"])
+def test_eigenbasis_maps_of_a_real_v_hold_no_complex_copy(shape):
+    """V^H x and V c of a float64 V equal those of V cast to complex128, for
+    complex and real operands, and a complex operand never costs a complex
+    copy of V (a mixed product would cast all of V)."""
+    gen = np.random.default_rng(11)
+    v, _ = np.linalg.qr(gen.normal(size=(256, 256)))
+    real = SpectralData(eigenvalues=np.arange(256.0), eigenvectors=v, gap=1.0, tau=1.0)
+    cast = SpectralData(eigenvalues=real.eigenvalues, eigenvectors=v.astype(complex),
+                        gap=1.0, tau=1.0)
+    x = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    for operand in (x, x.real.copy()):
+        for name in ("to_eigenbasis", "from_eigenbasis"):
+            tracemalloc.start()
+            try:
+                got = getattr(real, name)(operand)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < v.nbytes // 2
+            assert got.dtype == operand.dtype
+            assert np.abs(got - getattr(cast, name)(operand)).max() <= 1e-13
+    with pytest.raises(DimensionMismatchError):
+        real.from_eigenbasis(x[:-1])
 
 
 def test_eigenvector_matrix_unitary(tfim3):

@@ -7,10 +7,14 @@ config runs as ``python -m gspe.cli`` with that tree first on PYTHONPATH, in
 its own temporary directory.  The configs are the shipped ``tfim3-gse`` and
 ``qlss-kappa4`` at GSPE_SEED 0, 1 and 2, ``qlss-kappa4`` with the
 ``schedule`` initial state, the shipped ``sweep-gamma`` sweep as shipped and
-at GSPE_SEED 3 (as the benchmark runs it), and small general,
+at GSPE_SEED 3 (as the benchmark runs it), small general,
 block (default alpha, alpha = 1.5, and ||O||_2 > 1 with the default
-alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs
-built below.  For every output file it prints ``identical``, or the largest
+alpha = ||O||_2), commutative and 1RDM ((p, q) = (0, 1) and (0, 0)) configs,
+a 10-qubit TFIM general config built like the benchmark's ``ensemble-10q``
+(a real H, solved with a float64 eigenvector matrix) and a 3-qubit general
+config whose H has a term with one Y (a complex H, solved in complex
+arithmetic), all built below: 21 output files in all.  For every output
+file it prints ``identical``, or the largest
 relative and the largest absolute difference between the numbers at paths
 both outputs have (a number that became exactly 0 reads 1 relative however
 small it was, so the absolute one shows its size), the path of the first
@@ -58,6 +62,24 @@ def _tfim3(mode: str, observable: dict, **extra) -> dict:
             "seed": 5, **extra}
 
 
+def _tfim10() -> dict:
+    """The open-chain TFIM -0.5 ZZ - 1.0 X - 0.1 Z_0 on 10 qubits, X_0
+    measured from a ground_mixed start at overlap 0.5, as ensemble-10q."""
+    n = 10
+
+    def word(letters: dict) -> str:
+        return "".join(letters.get(q, "I") for q in range(n))
+
+    terms = ([(-0.5, word({q: "Z", q + 1: "Z"})) for q in range(n - 1)]
+             + [(-1.0, word({q: "X"})) for q in range(n)] + [(-0.1, word({0: "Z"}))])
+    return {"mode": "gsprop-general",
+            "instance": {"type": "pauli", "n": n,
+                         "terms": [{"coeff": c, "word": w} for c, w in terms]},
+            "initial_state": {"type": "ground_mixed", "overlap": 0.5},
+            "observable": _observable((1.0, word({0: "X"}))),
+            "epsilon": 0.1, "eta": 0.4, "nu": 0.1, "seed": 2}
+
+
 def _rdm(p: int, q: int) -> dict:
     return {"mode": "rdm", "instance": HOPPING2,
             "initial_state": {"type": "ground_mixed", "overlap": 0.6},
@@ -89,6 +111,10 @@ def cases():
         "commutative": _tfim3("gsprop-commutative", _observable((1.0, "XXX"))),
         "rdm-0-1": _rdm(0, 1),
         "rdm-0-0": _rdm(0, 0),
+        "general-10q": _tfim10(),
+        "general-odd-y": dict(_tfim3("gsprop-general", _observable((1.0, "XII"))),
+                              instance=dict(TFIM3, terms=TFIM3["terms"] + [
+                                  {"coeff": 0.3, "word": "YZI"}])),
     }
     for name, config in inline.items():
         yield name, "run", dict(config, output=f"{name}-record.json"), None
