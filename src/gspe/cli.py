@@ -188,14 +188,22 @@ def _finish_record(config: dict, seed: int, report, exact) -> dict:
             "exact": exact, "error": abs(complex(report.value) - complex(exact))}
 
 
+TRACE_POINTS = 401  # the CDF trace's grid: -pi/3..pi/3 in steps of 2pi/1200
+TRACE_CIRCLE = 3 * (TRACE_POINTS - 1)  # points per 2pi at that step
+
+
 def _write_cdf_trace(path: str, spectral, phi0, gse) -> None:
-    grid = np.linspace(-math.pi / 3, math.pi / 3, 401)
+    grid = np.linspace(-math.pi / 3, math.pi / 3, TRACE_POINTS)
     p = overlaps(phi0, spectral)
-    exact = np.atleast_1d(exact_cdf(spectral, p, grid))
-    # mean of G(x) over the run's own GSE pool, taken as one Certify batch
-    pool = gse.sums.sum(axis=0, keepdims=True)
-    estimated = [estimators.batch_means(gse.approx, pool, x, gse.shots_used)[0].real
-                 for x in grid]
+    exact = exact_cdf(spectral, p, grid)
+    # mean of G(x) over the run's own GSE pool, taken as one Certify batch:
+    # estimators.batch_means' terms at x = 0, moved along the grid by one
+    # synthesis
+    approx = gse.approx
+    weights = (approx.total_weight / gse.shots_used * gse.sums.sum(axis=0)
+               * approx.kernel(0.0))
+    estimated = fourier.synthesize_on_grid(weights, -math.pi / 3, TRACE_CIRCLE,
+                                           TRACE_POINTS).real
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "C_exact", "C_estimated"])
@@ -271,8 +279,9 @@ def run_rdm(config: dict, seed: int) -> dict:
 
 def run_fourier_check(delta: float, epsilon: float, out: str | None) -> dict:
     approx = fourier.build_fourier_approx(delta, epsilon)
-    grid = np.linspace(-math.pi, math.pi, 20001)
-    values = fourier.evaluate_coefficients(approx.coefficients, grid)
+    grid = np.linspace(-math.pi, math.pi, 20001)  # steps of 2pi/20000
+    values = fourier.synthesize_on_grid(approx.coefficients, -math.pi,
+                                        grid.size - 1, grid.size).real
     steps = fourier.heaviside(grid)
     plateau = (grid >= delta) & (grid <= math.pi - delta)
     trough = (grid >= -math.pi + delta) & (grid <= -delta)

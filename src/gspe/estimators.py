@@ -689,12 +689,11 @@ def estimate_gsprop_commutative(spectral: SpectralData, phi0, o_operator,
 
     ||H O - O H||_F is read in the eigenbasis, where V^H [H, O] V has entries
     (lambda_k - lambda_l) (V^H O V)_kl, so H is never formed; V^H O V is
-    formed from V = V I by the eigenbasis maps of ``spectral``.
+    O's action on V, through :meth:`SpectralData.operator_in_eigenbasis`.
     """
     obs = _unitary_observable(o_operator, spectral.dim)
     lam = spectral.eigenvalues
-    v = spectral.from_eigenbasis(np.eye(lam.size))
-    comm = np.linalg.norm((lam[:, None] - lam) * spectral.to_eigenbasis(obs.apply(v)))
+    comm = np.linalg.norm((lam[:, None] - lam) * spectral.operator_in_eigenbasis(obs.apply))
     if comm > COMMUTATION_TOL * max(1.0, np.linalg.norm(lam)):
         raise PreconditionError(f"observable does not commute with H ({comm:.3e})")
     return estimate_ratio(spectral, phi0, cfg, [obs], one_time=True)

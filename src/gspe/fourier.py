@@ -212,6 +212,27 @@ def evaluate_coefficients(coeffs: np.ndarray, x) -> np.ndarray:
     return acc
 
 
+def synthesize_on_grid(coeffs: np.ndarray, x0: float, n_grid: int,
+                       count: int) -> np.ndarray:
+    """sum_j a_j e^{ij(x0 + 2pi k / n_grid)} for k = 0..count-1, complex,
+    for any coefficients a_j = coeffs[j + d], j = -d..d.
+
+    One length-n_grid inverse FFT: a_j e^{ij x0} goes into bin j mod n_grid,
+    so a degree with 2d + 1 > n_grid folds, and k >= n_grid reads bin
+    k mod n_grid (the series is 2pi-periodic).  Against a per-point sum
+    (:func:`evaluate_coefficients`, ``estimators.batch_means``) the values
+    differ only by rounding, about 1e-15 at d of a few hundred.
+    """
+    d = (coeffs.size - 1) // 2
+    js = np.arange(-d, d + 1)
+    terms = coeffs * np.exp(1j * js * x0)
+    bins = np.mod(js, n_grid)
+    folded = (np.bincount(bins, terms.real, n_grid)
+              + 1j * np.bincount(bins, terms.imag, n_grid))
+    values = np.fft.ifft(folded) * n_grid
+    return values[np.arange(count) % n_grid]
+
+
 @lru_cache(maxsize=4)
 def _circle_grid(n_grid: int) -> np.ndarray:
     """The uniform grid x_k = -pi + 2pi k / n, ascending, built once per size

@@ -265,15 +265,21 @@ def table_states(spectral: SpectralData, phi0, d: int, *, phases=None) -> np.nda
 
 def expectation_table_1d(spectral: SpectralData, phi0, d: int, *,
                          phases=None) -> np.ndarray:
-    """table[j + d] = <phi0| e^{-i j tau H} |phi0>."""
-    return _phase_rows(spectral, d, phases) @ overlaps(phi0, spectral)
+    """table[j + d] = <phi0| e^{-i j tau H} |phi0>.
+
+    An einsum, not ``phase_rows @ weights``: it calls no BLAS, and a
+    threaded BLAS can take milliseconds to start on a product this small,
+    then keep its worker thread spinning through the pool that follows."""
+    return np.einsum("rk,k->r", _phase_rows(spectral, d, phases),
+                     overlaps(phi0, spectral))
 
 
 def expectation_table_O(spectral: SpectralData, phi0, o_matrix, d: int, *,
                         phases=None) -> np.ndarray:
-    """table[j + d] = <phi0| O e^{-i j tau H} |phi0>."""
-    return (_phase_rows(spectral, d, phases)
-            @ _observable_weights(spectral, phi0, o_matrix))
+    """table[j + d] = <phi0| O e^{-i j tau H} |phi0>; an einsum, as
+    :func:`expectation_table_1d`."""
+    return np.einsum("rk,k->r", _phase_rows(spectral, d, phases),
+                     _observable_weights(spectral, phi0, o_matrix))
 
 
 def expectation_table_2d(spectral: SpectralData, phi0, o_matrix, d: int, *,
@@ -592,17 +598,26 @@ def generalized_variance(e_real: float, nsq: float, alpha: float, a: float) -> f
 
 # --- vectorized fast paths (tables of exact expectations) --------------------
 
-SAMPLE_BLOCK = 1 << 16  # elements per block: sampler temporaries stay cache-sized
+# Shots per chunk of a pool (:func:`sample_blocks`).  A chunk's per-shot
+# temporaries (cells, J, the gathered law rows, uniforms, outcomes: under
+# 100 B per shot, for fewer than 2 * SAMPLE_BLOCK shots) bound a pool's
+# working set whatever its group size; at 2^16 a two-time group of ~105 k
+# shots was one chunk whose ~9 MB of them set a run's peak RSS.  2^15 was
+# picked by a sweep over 2^12..2^16 on the benchmark's four workloads as the
+# largest peak-RSS cut that slows none of them: 2^14 cuts more but splits
+# 50 k-shot two-time groups into three chunks, each a fixed few dozen
+# microseconds of numpy calls (README, the shot-pool paragraph).
+SAMPLE_BLOCK = 1 << 15
 
 
 def sample_blocks(size: int):
     """Consecutive slices covering range(size): one slice when size is below
     2 * SAMPLE_BLOCK, else SAMPLE_BLOCK elements each with the remainder
-    folded into the last.
+    folded into the last, so no slice reaches 2 * SAMPLE_BLOCK elements.
 
-    A shot pool draws each of its groups in these chunks, so a pool of
-    millions of shots allocates no per-shot array of its size, nor of a
-    group's; the stream order is in ``estimators._pool_sums``.
+    A shot pool draws each of its groups in these chunks, so whatever its
+    group size a pool holds per-shot temporaries of at most one chunk; the
+    stream order is in ``estimators._pool_sums``.
     """
     bounds = [SAMPLE_BLOCK * i for i in range(max(1, size // SAMPLE_BLOCK))]
     for lo, hi in zip(bounds, bounds[1:] + [size]):

@@ -11,7 +11,9 @@ arithmetic and keeps a float64 eigenvector matrix V; any other H keeps a
 complex128 V.  Only :meth:`SpectralData.to_eigenbasis` (V^H x) and
 :meth:`SpectralData.from_eigenbasis` (V c) depend on that dtype: on a real
 V they form a complex x or c as two real products, never a complex copy of
-V, so every caller has one code path.
+V, so every caller has one code path.  V^H A V for an operator A
+(:meth:`SpectralData.operator_in_eigenbasis`) applies A's own action to V
+and goes through the first.
 """
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ class SpectralData:
     eigenvectors : V, unitary, k-th column is the k-th eigenvector; float64
         when H is real, complex128 otherwise (see :func:`hermitian_eigh`).
         Read it through :meth:`to_eigenbasis` and :meth:`from_eigenbasis`,
-        the only readers that depend on its dtype.
+        the only readers that depend on its dtype, or
+        :meth:`operator_in_eigenbasis`.
     gap : lambda_1 - lambda_0 (unnormalized)
     tau : scale factor with tau * max|lambda_k| = pi/3
 
@@ -92,6 +95,13 @@ class SpectralData:
         c = self._columns(c)
         v = self.eigenvectors
         return v @ c if np.iscomplexobj(v) else _real_product(v, c)
+
+    def operator_in_eigenbasis(self, apply) -> np.ndarray:
+        """V^H A V for the operator A whose action on a block of state
+        columns is ``apply`` (such as ``Observable.apply``): A acts on the
+        columns of V itself, so no identity product V I is formed, and the
+        result goes through :meth:`to_eigenbasis`."""
+        return self.to_eigenbasis(apply(self.eigenvectors))
 
     def _columns(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -235,12 +245,13 @@ def mixed_with_noise(target, noise, overlap: float) -> np.ndarray:
 # --- exact CDF helpers (ground truth for tests and CDF traces) -------------
 
 def exact_cdf(spectral: SpectralData, weights, x) -> np.ndarray:
-    """C(x) = sum_{k: tau*lambda_k <= x} w_k on the rescaled axis."""
+    """C(x) = sum_{k: tau*lambda_k <= x} w_k on the rescaled axis: the
+    cumulative sum of w read at the count of ascending scaled eigenvalues
+    at or below each x."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pos = spectral.scaled_eigenvalues
-    w = np.asarray(weights, dtype=float)
-    out = np.array([w[pos <= xi].sum() for xi in x])
+    cumulative = np.concatenate(([0.0], np.cumsum(np.asarray(weights, dtype=float))))
+    out = cumulative[np.searchsorted(spectral.scaled_eigenvalues, x, side="right")]
     return out[0] if scalar else out
 
 
@@ -259,8 +270,8 @@ def weighted_cdf_2d(spectral: SpectralData, phi0, o_matrix, x, y) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     amps = spectral.to_eigenbasis(as_state(phi0, dim=spectral.dim))
-    o_eig = spectral.to_eigenbasis(np.asarray(o_matrix, dtype=complex)
-                                   @ spectral.from_eigenbasis(np.eye(spectral.dim)))
+    o_mat = np.asarray(o_matrix, dtype=complex)
+    o_eig = spectral.operator_in_eigenbasis(lambda v: o_mat @ v)
     pos = spectral.scaled_eigenvalues
     mask_x = (pos[None, :] <= x[:, None]).astype(float)   # (nx, K)
     mask_y = (pos[None, :] <= y[:, None]).astype(float)   # (ny, K)

@@ -83,3 +83,23 @@ def test_absolute_difference_shows_a_number_that_became_zero():
     assert compare_records.largest_difference(*same, absolute=True) == 0.0
     text = _blob({"mode": "a"}), _blob({"mode": "b"}), "record.json"
     assert compare_records.largest_difference(*text, absolute=True) == math.inf
+
+
+def test_thread_case_fails_only_on_a_schedule_change():
+    """Across BLAS thread counts a record passes when shots and every
+    schedule integer match, each other differing number listed with its
+    relative size; a changed shot count or degree fails it."""
+    default = {"estimate": 0.5, "shots": 100,
+               "intermediate": {"d_prop": 76, "n_g": 9, "p0_bar": 0.8}}
+    single = dict(default, estimate=0.5 + 1e-15)
+    assert compare_records.thread_verdict(_blob(default), _blob(default),
+                                          "record.json") == (True, "identical")
+    passes, report = compare_records.thread_verdict(_blob(default), _blob(single),
+                                                    "record.json")
+    assert passes
+    assert report == "shots and schedule match; estimate relative 1.998e-15"
+    for moved in (dict(single, shots=101),
+                  dict(single, intermediate=dict(default["intermediate"], d_prop=77))):
+        passes, report = compare_records.thread_verdict(_blob(default), _blob(moved),
+                                                        "record.json")
+        assert not passes and report.startswith("schedule differs")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,37 @@ def test_weighted_stage_replays_public_draws(small_approx, kind):
     assert budget.shots == n_g * k
     assert budget.max_time == float(times.max())
     assert abs(budget.total_time - float(times.sum())) <= 1e-12 * times.sum()
+
+
+POOL_BYTES_PER_SHOT = 96  # the largest block chunk peaks near 83 B per shot
+
+
+@pytest.mark.parametrize("kind", ["one-time", "two-time", "block"])
+def test_pool_holds_one_chunk_of_shot_temporaries(small_approx, kind):
+    """_pool_sums' peak allocation (tracemalloc, numpy's buffers included)
+    stays below POOL_BYTES_PER_SHOT per shot of its largest chunk,
+    2 * SAMPLE_BLOCK - 1 shots, whatever the group size: groups of 4 and 16
+    chunks peak within 10% of each other, and a group of one chunk of the
+    largest size stays below the same bound."""
+    a = small_approx
+    spectral, table, norms, alpha, _ = _pool_case(kind, a.d)
+    law = outcome_law(table, norms, alpha)
+    lead = a.total_weight * a.kernel(0.3) if table.ndim == 2 else None
+
+    def peak(group_size):
+        tracemalloc.start()
+        try:
+            estimators._pool_sums(a, law, 1, group_size, np.random.default_rng(5),
+                                  EvolutionBudget(), spectral.tau, lead=lead,
+                                  alpha=alpha)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grouped = [peak(chunks * SAMPLE_BLOCK) for chunks in (4, 16)]
+    assert max(grouped) <= 1.1 * min(grouped)
+    largest = peak(2 * SAMPLE_BLOCK - 1)
+    assert max(grouped + [largest]) < POOL_BYTES_PER_SHOT * 2 * SAMPLE_BLOCK
 
 
 @pytest.mark.parametrize("p, q", [(0, 1), (0, 0)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe.applications import KERNEL_TOL, build_gap_amplified
-from gspe.estimators import gse_delta, property_delta
+from gspe.estimators import batch_means, gse_delta, property_delta
 from gspe.fourier import (CHECK_GRID, COARSE_GRID, COEFF_DECAY_CONSTANT, RANGE_TOL,
                           FourierConstructionError, _circle_grid,
                           _construction_is_valid, _end_values,
@@ -15,7 +15,8 @@ from gspe.fourier import (CHECK_GRID, COARSE_GRID, COEFF_DECAY_CONSTANT, RANGE_T
                           build_fourier_approx, degree_for,
                           evaluate_coefficients, evaluate_F,
                           fourier_coefficients_at, heaviside,
-                          heaviside_fourier_coeff, mollifier, mollifier_norm)
+                          heaviside_fourier_coeff, mollifier, mollifier_norm,
+                          synthesize_on_grid)
 from gspe.pauli import build_operator
 from gspe.serialization import (load_json, parse_linear_system,
                                 parse_operator, parse_synthetic)
@@ -203,6 +204,30 @@ def test_synthesis_matches_direct_evaluation(d):
     coeffs = fourier_coefficients_at(d, 0.05, 0.01)
     x, values = _synthesize_on_circle(coeffs, 2 ** 16)
     assert np.abs(values - evaluate_coefficients(coeffs, x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("x0, n_grid, count", [
+    (-math.pi / 3, 1200, 401),  # the CDF trace's grid
+    (0.3, 50, 120),  # 2d + 1 = 73 > 50: the degrees fold, k wraps twice
+], ids=["trace-grid", "folded"])
+def test_grid_synthesis_matches_per_point_sums(x0, n_grid, count):
+    """One synthesis gives a batch's mean of G at every grid point x0 +
+    2pi k / n_grid as batch_means does point by point, and the approximant
+    itself as evaluate_coefficients does, to 1e-12."""
+    approx = build_fourier_approx(0.15, 0.02)
+    assert 2 * approx.d + 1 == 73
+    gen = np.random.default_rng(8)
+    sums = gen.normal(size=(1, 73)) + 1j * gen.normal(size=(1, 73))
+    n_s = 1000
+    weights = approx.total_weight / n_s * sums[0] * np.exp(1j * approx.phases)
+    x = x0 + 2 * math.pi * np.arange(count) / n_grid
+    want = [batch_means(approx, sums, xk, n_s)[0] for xk in x]
+    got = synthesize_on_grid(weights, x0, n_grid, count)
+    assert got.shape == (count,)
+    assert np.abs(got - want).max() <= 1e-12
+    values = synthesize_on_grid(approx.coefficients, x0, n_grid, count)
+    assert np.abs(values.real - evaluate_coefficients(approx.coefficients, x)).max() <= 1e-12
+    assert np.abs(values.imag).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [49, 530])

@@ -315,12 +315,17 @@ def test_frequency_five_sigma(z_system):
     assert abs(zs.real.mean() - e.real) <= 5 * sigma
 
 
-@pytest.mark.parametrize("size", [0, 1, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK - 1,
-                                  2 * SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5])
+@pytest.mark.parametrize("size", sorted({
+    0, 1, 65536, 131071, 131072, 196613,  # the block boundaries of 2^16
+    SAMPLE_BLOCK, 2 * SAMPLE_BLOCK - 1, 2 * SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5}))
 def test_sample_blocks_cover_in_order(size):
+    """Blocks tile range(size) in order; from 2 * SAMPLE_BLOCK on, every
+    block holds SAMPLE_BLOCK elements up to the remainder folded into the
+    last, so none reaches 2 * SAMPLE_BLOCK."""
     blocks = list(sample_blocks(size))
     assert blocks[0].start == 0 and blocks[-1].stop == size
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert all(b.stop - b.start == SAMPLE_BLOCK for b in blocks[:-1])
     if size >= 2 * SAMPLE_BLOCK:
         assert all(SAMPLE_BLOCK <= b.stop - b.start < 2 * SAMPLE_BLOCK
                    for b in blocks)

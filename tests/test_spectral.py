@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspe import build_operator, diagonalize, evolve, overlaps
+from gspe.hadamard import observable
 from gspe.spectral import (DegenerateGroundSpaceError, DimensionMismatchError,
                            SpectralData, as_state, exact_cdf, hermitian_eigh,
                            mixed_with_noise, weighted_cdf_2d,
                            weighted_cdf_commuting)
 
-from conftest import TFIM3_TERMS, dense_from_terms, random_state
+from conftest import TFIM3_TERMS, dense_from_terms, random_hermitian, random_state
 
 
 def test_diagonalize_z():
@@ -241,6 +242,36 @@ def test_exact_cdf_properties(rng, tfim3):
     # right continuity on the grid: value at a jump equals the upper limit
     x0 = s.scaled_eigenvalues[0]
     assert exact_cdf(s, p, np.array([x0]))[0] == pytest.approx(p[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("h_dtype", [float, complex])
+def test_operator_in_eigenbasis_is_v_h_o_v(h_dtype):
+    """V^H O V from O's action on V equals the product with V read directly,
+    for a real and a complex V, a dense O and a signed permutation (a
+    Pauli string's row gather)."""
+    gen = np.random.default_rng(12)
+    h = random_hermitian(gen, 8)
+    s = diagonalize(h.real if h_dtype is float else h)
+    v = s.eigenvectors.astype(complex)
+    assert np.iscomplexobj(s.eigenvectors) == (h_dtype is complex)
+    for o_mat in (random_hermitian(gen, 8), build_operator([(1.0, "XYZ")]).matrix()):
+        obs = observable(o_mat)
+        want = v.conj().T @ o_mat @ v
+        assert np.abs(s.operator_in_eigenbasis(obs.apply) - want).max() <= 1e-13
+
+
+def test_exact_cdf_at_and_below_each_eigenvalue(rng):
+    """C(x) counts a level from x equal to its scaled eigenvalue on (right
+    continuity) and not one float below it, for a doubly degenerate level
+    too, as the per-point sum over tau*lambda_k <= x does."""
+    s = diagonalize(np.diag([-1.0, -0.5, -0.5, 0.0, 0.2, 0.7, 0.9, 1.0]))
+    w = rng.normal(size=s.dim)  # signed, as weighted_cdf_commuting's are
+    pos = s.scaled_eigenvalues
+    points = np.concatenate([pos, np.nextafter(pos, -np.inf), [-2.0, 2.0]])
+    want = np.array([w[pos <= x].sum() for x in points])
+    assert np.abs(exact_cdf(s, w, points) - want).max() <= 1e-15
+    assert exact_cdf(s, w, pos[1]) == pytest.approx(w[:3].sum(), abs=1e-15)
+    assert np.ndim(exact_cdf(s, w, pos[1])) == 0
 
 
 def test_weighted_cdf_2d_matches_commuting_diagonal(rng, tfim3):

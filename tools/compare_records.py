@@ -24,7 +24,17 @@ and whether ``shots`` and every schedule integer
 ``k_weighted``) still match,
 so a change of the random stream can show that only estimates and evolution
 times moved; otherwise each schedule field that only one side has, and each
-that changed, is named.  The exit code is 0 when every file is identical.
+that changed, is named.
+
+The thread case then runs the 10-qubit general config twice more on
+CHANGE_SRC alone: once at the BLAS library's default thread count (the
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS variables unset) and once at
+OPENBLAS_NUM_THREADS=1.  At a fixed thread count a record is byte-identical;
+across thread counts the eigensolve's last bits may differ, so only shots,
+every schedule integer and the degrees must match, and each other differing
+number is listed with its relative size.
+
+The exit code is 0 when every file is identical and the thread case passes.
 """
 from __future__ import annotations
 
@@ -120,12 +130,25 @@ def cases():
         yield name, "run", dict(config, output=f"{name}-record.json"), None
 
 
-def run(src: Path, command: str, config: dict, seed) -> dict:
-    """{output file name: bytes} of one CLI run on the tree at ``src``."""
+THREAD_CASE = "general-10q"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run(src: Path, command: str, config: dict, seed,
+        blas_threads: int | None = None) -> dict:
+    """{output file name: bytes} of one CLI run on the tree at ``src``.
+    ``blas_threads`` None keeps the environment's BLAS thread variables, 0
+    unsets them (the library's default) and n > 0 sets
+    OPENBLAS_NUM_THREADS=n."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("GSPE_SEED", None)
     if seed is not None:
         env["GSPE_SEED"] = str(seed)
+    if blas_threads is not None:
+        for variable in THREAD_VARIABLES:
+            env.pop(variable, None)
+        if blas_threads:
+            env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "config.json"
         path.write_text(json.dumps(config))
@@ -178,27 +201,34 @@ def _leaf(cell: str):
         return cell
 
 
+def _difference(x, y, absolute: bool = False) -> float:
+    """|x - y| / max(|x|, |y|), or |x - y| with ``absolute``, of two
+    leaves; 0 when equal, inf when they differ and either is no number."""
+    if x == y:
+        return 0.0
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (x, y)):
+        return math.inf
+    scale = 1.0 if absolute else max(abs(x), abs(y))
+    return abs(x - y) / scale
+
+
+def differences(a: bytes, b: bytes, name: str) -> list:
+    """(path, relative difference) of each leaf, in document order, that
+    differs between the outputs at a path both have."""
+    right = dict(_leaves(b, name))
+    return [(path, _difference(x, right[path])) for path, x in _leaves(a, name)
+            if path in right and x != right[path]]
+
+
 def largest_difference(a: bytes, b: bytes, name: str, *,
                        absolute: bool = False) -> float:
-    """Largest |x - y| / max(|x|, |y|), or |x - y| with ``absolute``, over
-    the numbers at the paths both outputs have, the leaves paired by path;
-    inf when a non-number at such a path differs.  Paths only one side has
-    are :func:`unpaired_paths`."""
+    """Largest :func:`_difference` over the leaves at the paths both outputs
+    have, the leaves paired by path; inf when a non-number at such a path
+    differs.  Paths only one side has are :func:`unpaired_paths`."""
     right = dict(_leaves(b, name))
-    worst = 0.0
-    for path, x in _leaves(a, name):
-        if path not in right:
-            continue
-        y = right[path]
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in (x, y))
-        if not numeric:
-            if x != y:
-                return math.inf
-        elif x != y:
-            scale = 1.0 if absolute else max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale)
-    return worst
+    return max((_difference(x, right[path], absolute)
+                for path, x in _leaves(a, name) if path in right), default=0.0)
 
 
 def unpaired_paths(a: bytes, b: bytes, name: str) -> list:
@@ -239,6 +269,23 @@ def schedule_verdict(a: bytes, b: bytes, name: str) -> str:
     return "shots and schedule match" if not notes else "schedule differs: " + "; ".join(notes)
 
 
+def thread_verdict(default: bytes, single: bytes, name: str) -> tuple[bool, str]:
+    """(passes, report) of one output at the default BLAS thread count
+    against one thread: it passes when the outputs are identical, or when
+    shots and every schedule integer match and neither has a path the
+    other lacks; the report lists each other differing number with its
+    relative size."""
+    if default == single:
+        return True, "identical"
+    schedule = schedule_verdict(default, single, name)
+    unpaired = unpaired_paths(default, single, name)
+    passes = schedule == "shots and schedule match" and not unpaired
+    report = [schedule] + [f"unpaired: {path}" for path in unpaired]
+    report += [f"{path} relative {size:.3e}"
+               for path, size in differences(default, single, name)]
+    return passes, "; ".join(report)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -262,7 +309,16 @@ def main(argv=None) -> int:
                            f"{first_difference(*args)}; {schedule_verdict(*args)}"
                            + (f"; unpaired: {', '.join(unpaired)}" if unpaired else ""))
             print(f"{name:18s} {output:28s} {verdict}", flush=True)
-    return 0 if all_identical else 1
+    config = next(config for name, _, config, _ in cases() if name == THREAD_CASE)
+    default = run(change, "run", config, None, blas_threads=0)
+    single = run(change, "run", config, None, blas_threads=1)
+    threads_pass = True
+    for output in default:
+        passes, report = thread_verdict(default[output], single[output], output)
+        threads_pass = threads_pass and passes
+        print(f"{THREAD_CASE} threads default vs 1, {output}: "
+              f"{'passes' if passes else 'FAILS'}: {report}", flush=True)
+    return 0 if all_identical and threads_pass else 1
 
 
 if __name__ == "__main__":
